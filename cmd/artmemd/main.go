@@ -157,10 +157,6 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
-	// The control endpoints plus the standard pprof surface. The handlers
-	// are registered explicitly (rather than importing net/http/pprof for
-	// its DefaultServeMux side effect) so the daemon never serves
-	// profiling endpoints it did not ask for.
 	mux := http.NewServeMux()
 	mux.Handle("/", sys.ControlHandler())
 	// Serving observability (span journal + SLO monitor) exists only
@@ -170,23 +166,7 @@ func main() {
 		obs = newServeObs(*spanRate, []telemetry.SLOObjective{telemetry.BatchSLO()})
 	}
 	obs.mount(mux)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{
-		Addr:    *listen,
-		Handler: hardened(mux),
-		// Bound how long a client may dribble its request headers; without
-		// it an idle connection pins a goroutine forever (slowloris).
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go protect("http", func() {
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-			fatal(err)
-		}
-	})
+	srv := serveHTTP(*listen, mux)
 
 	// The batched streaming access API: remote clients (cmd/artload)
 	// stream access/alloc/free batches at the machine alongside the local
@@ -251,7 +231,7 @@ func main() {
 		replays := 0
 	loop:
 		for {
-			if !replay(sys, spec, prof, stop) {
+			if !replay(sys.Access, spec, prof, stop) {
 				break loop
 			}
 			replays++
@@ -270,11 +250,7 @@ func main() {
 	if accessSrv != nil {
 		accessSrv.Shutdown()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
-	}
+	shutdownHTTP(srv, *drain)
 	close(ckptDone)
 	sys.Stop()
 	if *ckptPath != "" {
@@ -287,10 +263,45 @@ func main() {
 	fmt.Println("artmemd: stopped")
 }
 
-// replay runs one pass of the workload, returning false when a stop
-// signal arrived. A panic inside the workload or the access path is
-// recovered so one bad replay cannot take the daemon down.
-func replay(sys *core.System, spec workloads.Spec, prof workloads.Profile, stop <-chan os.Signal) (again bool) {
+// serveHTTP serves the control-plane mux on listen from a protected
+// goroutine, together with the standard pprof surface. The pprof
+// handlers are registered explicitly (rather than importing
+// net/http/pprof for its DefaultServeMux side effect) so the daemon
+// never serves profiling endpoints it did not ask for.
+func serveHTTP(listen string, mux *http.ServeMux) *http.Server {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{
+		Addr:    listen,
+		Handler: hardened(mux),
+		// Bound how long a client may dribble its request headers; without
+		// it an idle connection pins a goroutine forever (slowloris).
+		ReadHeaderTimeout: 10 * time.Second,
+	}
+	go protect("http", func() {
+		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
+			fatal(err)
+		}
+	})
+	return srv
+}
+
+// shutdownHTTP drains in-flight HTTP requests, giving up after drain.
+func shutdownHTTP(srv *http.Server, drain time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
+	}
+}
+
+// replay runs one pass of the workload through access, returning false
+// when a stop signal arrived. A panic inside the workload or the access
+// path is recovered so one bad replay cannot take the daemon down.
+func replay(access func(addr uint64, write bool), spec workloads.Spec, prof workloads.Profile, stop <-chan os.Signal) (again bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(os.Stderr, "artmemd: replay panicked (recovered): %v\n", r)
@@ -305,7 +316,7 @@ func replay(sys *core.System, spec workloads.Spec, prof workloads.Profile, stop 
 			return true
 		}
 		for _, a := range b {
-			sys.Access(a.Addr, a.Write)
+			access(a.Addr, a.Write)
 		}
 		select {
 		case <-stop:

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -132,22 +130,7 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 	obs.mount(mux)
 	mux.HandleFunc("/register", rep.handleRegister)
 	mux.HandleFunc("/deregister", rep.handleDeregister)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{
-		Addr:    listen,
-		Handler: hardened(mux),
-		// See the single-tenant server: slowloris defence.
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go protect("http", func() {
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-			fatal(err)
-		}
-	})
+	srv := serveHTTP(listen, mux)
 
 	// The batched streaming access API over the tenant slots: remote
 	// clients address their slot region from 0, the backend rebases.
@@ -193,11 +176,7 @@ loop:
 	if accessSrv != nil {
 		accessSrv.Shutdown()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
-	}
+	shutdownHTTP(srv, drain)
 	sys.Stop()
 	fmt.Println("artmemd: stopped")
 }

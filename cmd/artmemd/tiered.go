@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -53,28 +52,21 @@ func tieredMain(chainSpec string, nonExclusive bool, budget int,
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
-	srv := &http.Server{
-		Addr:              listen,
-		Handler:           hardened(sys.ControlHandler()),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go protect("http", func() {
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-			fatal(err)
-		}
-	})
+	mux := http.NewServeMux()
+	mux.Handle("/", sys.ControlHandler())
+	srv := serveHTTP(listen, mux)
 
 	fmt.Printf("artmemd: build %s\n", build)
 	fmt.Printf("artmemd: %d-tier chain %s (%d boundary agents, non-exclusive=%v)\n",
 		len(ch), chainSpec, sys.NumBoundaries(), nonExclusive)
-	fmt.Printf("artmemd: serving /tiers, /stats, /metrics, /healthz on http://%s\n", listen)
+	fmt.Printf("artmemd: serving /tiers, /stats, /metrics, /healthz on http://%s; profiling at /debug/pprof/\n", listen)
 	fmt.Printf("artmemd: replaying %s (%d MB) in a loop; SIGINT/SIGTERM to stop\n",
 		name, foot>>20)
 
 	replays := 0
 loop:
 	for {
-		if !tieredReplay(sys, spec, prof, stop) {
+		if !replay(sys.Access, spec, prof, stop) {
 			break loop
 		}
 		replays++
@@ -84,38 +76,7 @@ loop:
 	}
 
 	sys.SetDraining(true)
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "artmemd: http drain: %v\n", err)
-	}
+	shutdownHTTP(srv, drain)
 	sys.Stop()
 	fmt.Println("artmemd: stopped")
-}
-
-// tieredReplay mirrors replay for the chain runtime.
-func tieredReplay(sys *core.TieredSystem, spec workloads.Spec, prof workloads.Profile,
-	stop <-chan os.Signal) (again bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "artmemd: replay panicked (recovered): %v\n", r)
-			again = true
-		}
-	}()
-	w := spec.New(prof)
-	defer w.Close()
-	for {
-		b, ok := w.Next()
-		if !ok {
-			return true
-		}
-		for _, a := range b {
-			sys.Access(a.Addr, a.Write)
-		}
-		select {
-		case <-stop:
-			return false
-		default:
-		}
-	}
 }

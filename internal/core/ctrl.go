@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
+
+	"artmem/internal/memsim"
 )
 
 // This file exposes the paper's §5 "interaction channels for environment
@@ -32,8 +33,7 @@ import (
 //	GET /healthz                 ok/degraded/draining liveness for balancers
 //	                             (JSON; draining answers 503)
 func (s *System) ControlHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", healthzHandler(s))
+	mux := s.controlMux()
 	mux.HandleFunc("GET /memory.hit_ratio_show", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		fast, slow := s.pol.sampler.PeekWindowCounts()
@@ -69,15 +69,7 @@ func (s *System) ControlHandler() http.Handler {
 		h := s.Health()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
-			VirtualNs     int64   `json:"virtual_ns"`
-			FastAccesses  uint64  `json:"fast_accesses"`
-			SlowAccesses  uint64  `json:"slow_accesses"`
-			CacheHits     uint64  `json:"cache_hits"`
-			DRAMRatio     float64 `json:"dram_ratio"`
-			Migrations    uint64  `json:"migrations"`
-			Promotions    uint64  `json:"promotions"`
-			Demotions     uint64  `json:"demotions"`
-			MigratedBytes uint64  `json:"migrated_bytes"`
+			machineStats
 			// Resilience: fault, retry, and degraded-mode accounting.
 			Degraded           bool   `json:"degraded"`
 			DegradedTicks      uint64 `json:"degraded_ticks"`
@@ -91,15 +83,7 @@ func (s *System) ControlHandler() http.Handler {
 			WatchdogStalls     uint64 `json:"watchdog_stalls"`
 			Panics             uint64 `json:"panics"`
 		}{
-			VirtualNs:          now,
-			FastAccesses:       c.FastAccesses,
-			SlowAccesses:       c.SlowAccesses,
-			CacheHits:          c.CacheHits,
-			DRAMRatio:          c.DRAMRatio(),
-			Migrations:         c.Migrations,
-			Promotions:         c.Promotions,
-			Demotions:          c.Demotions,
-			MigratedBytes:      c.MigratedBytes,
+			machineStats:       newMachineStats(now, c),
 			Degraded:           degraded,
 			DegradedTicks:      fs.DegradedTicks,
 			DegradedEntries:    fs.DegradedEntries,
@@ -113,25 +97,10 @@ func (s *System) ControlHandler() http.Handler {
 			Panics:             h.Panics,
 		})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// The registry's pull closures lock s.mu themselves; this handler
-		// must not hold it (see internal/core/telemetry.go).
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.tel.Registry.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.tel.Registry.Snapshot())
-	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 0 // everything retained
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryInt(w, r, "n", 0) // 0: everything retained
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		s.tel.Trace.WriteJSONL(w, n)
@@ -145,26 +114,16 @@ func (s *System) ControlHandler() http.Handler {
 				http.StatusNotFound)
 			return
 		}
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryInt(w, r, "n", 0)
+		if !ok {
+			return
 		}
-		page := int64(-1)
-		if q := r.URL.Query().Get("page"); q != "" {
-			v, err := strconv.ParseInt(q, 10, 64)
-			if err != nil || v < 0 {
-				http.Error(w, "bad page", http.StatusBadRequest)
-				return
-			}
-			page = v
+		page, ok := queryInt(w, r, "page", -1)
+		if !ok {
+			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		pt.WriteJSONL(w, n, page)
+		pt.WriteJSONL(w, n, int64(page))
 	})
 	mux.HandleFunc("GET /qtable", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
@@ -174,4 +133,34 @@ func (s *System) ControlHandler() http.Handler {
 		json.NewEncoder(w).Encode(rep)
 	})
 	return mux
+}
+
+// machineStats leads every /stats payload: the machine counters all
+// daemon modes serve, embedded first so the JSON keys keep their order.
+type machineStats struct {
+	VirtualNs     int64   `json:"virtual_ns"`
+	FastAccesses  uint64  `json:"fast_accesses"`
+	SlowAccesses  uint64  `json:"slow_accesses"`
+	CacheHits     uint64  `json:"cache_hits"`
+	DRAMRatio     float64 `json:"dram_ratio"`
+	Migrations    uint64  `json:"migrations"`
+	Promotions    uint64  `json:"promotions"`
+	Demotions     uint64  `json:"demotions"`
+	MigratedBytes uint64  `json:"migrated_bytes"`
+}
+
+// newMachineStats fills the shared /stats prefix from a counter
+// snapshot taken at virtual time now.
+func newMachineStats(now int64, c memsim.Counters) machineStats {
+	return machineStats{
+		VirtualNs:     now,
+		FastAccesses:  c.FastAccesses,
+		SlowAccesses:  c.SlowAccesses,
+		CacheHits:     c.CacheHits,
+		DRAMRatio:     c.DRAMRatio(),
+		Migrations:    c.Migrations,
+		Promotions:    c.Promotions,
+		Demotions:     c.Demotions,
+		MigratedBytes: c.MigratedBytes,
+	}
 }

@@ -5,12 +5,20 @@ import (
 	"net/http"
 )
 
-// healthSource abstracts System and MultiSystem for the shared
-// /healthz handler: the watchdog Health snapshot plus the daemon's
-// graceful-shutdown flag.
-type healthSource interface {
-	Health() Health
-	Draining() bool
+// Health is a snapshot of the runtime's liveness and resilience state.
+type Health struct {
+	// SamplingBeats and MigrationBeats count completed worker
+	// iterations; a live system's beats keep advancing.
+	SamplingBeats  uint64
+	MigrationBeats uint64
+	// SamplingStalls and MigrationStalls count watchdog intervals during
+	// which the corresponding thread made no progress.
+	SamplingStalls  uint64
+	MigrationStalls uint64
+	// Panics counts worker-thread panics that were recovered.
+	Panics uint64
+	// Degraded reports whether any agent is in the heuristic fallback.
+	Degraded bool
 }
 
 // healthzStatus is the JSON document served at /healthz. The field set
@@ -32,33 +40,31 @@ type healthzStatus struct {
 	Panics         uint64 `json:"panics"`
 }
 
-// healthzHandler serves GET /healthz from a health source. Draining
-// answers 503 (stop routing new work here), everything else 200 — a
-// degraded daemon still serves traffic, just on the heuristic
+// serveHealthz serves GET /healthz from the loop's Health snapshot.
+// Draining answers 503 (stop routing new work here), everything else
+// 200 — a degraded daemon still serves traffic, just on the heuristic
 // fallback, and the body says so.
-func healthzHandler(s healthSource) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h := s.Health()
-		st := healthzStatus{
-			Degraded:       h.Degraded || h.Panics > 0 || h.SamplingStalls+h.MigrationStalls > 0,
-			Draining:       s.Draining(),
-			SamplingBeats:  h.SamplingBeats,
-			MigrationBeats: h.MigrationBeats,
-			WatchdogStalls: h.SamplingStalls + h.MigrationStalls,
-			Panics:         h.Panics,
-		}
-		switch {
-		case st.Draining:
-			st.Status = "draining"
-		case st.Degraded:
-			st.Status = "degraded"
-		default:
-			st.Status = "ok"
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if st.Draining {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		json.NewEncoder(w).Encode(st)
+func (l *controlLoop) serveHealthz(w http.ResponseWriter, r *http.Request) {
+	h := l.Health()
+	st := healthzStatus{
+		Degraded:       h.Degraded || h.Panics > 0 || h.SamplingStalls+h.MigrationStalls > 0,
+		Draining:       l.Draining(),
+		SamplingBeats:  h.SamplingBeats,
+		MigrationBeats: h.MigrationBeats,
+		WatchdogStalls: h.SamplingStalls + h.MigrationStalls,
+		Panics:         h.Panics,
 	}
+	switch {
+	case st.Draining:
+		st.Status = "draining"
+	case st.Degraded:
+		st.Status = "degraded"
+	default:
+		st.Status = "ok"
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if st.Draining {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	json.NewEncoder(w).Encode(st)
 }

@@ -3,9 +3,105 @@ package core
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+
+	"artmem/internal/memsim"
 )
+
+// lifecycleCase is one online runtime under the shared lifecycle tests:
+// its embedded control loop plus the few hooks that differ per runtime.
+type lifecycleCase struct {
+	name string
+	*controlLoop
+	// handler serves the runtime's /healthz.
+	handler http.Handler
+	// drive feeds every agent traffic so their ticks take the RL path.
+	drive func()
+	// degrade puts the runtime's last agent into the heuristic fallback.
+	degrade func()
+	// block runs f while holding the lock the control passes need, so
+	// both worker threads stall for as long as f runs.
+	block func(f func())
+}
+
+// lifecycleCases builds one fresh instance of each online runtime, with
+// pol applied to every agent's policy config.
+func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
+	t.Helper()
+	const ps = 64 * 1024
+	sysCfg := testSystemConfig()
+	pol(&sysCfg.Policy)
+	sys := NewSystem(sysCfg)
+	multiCfg := testMultiConfig()
+	for i := range multiCfg.Tenants {
+		pol(&multiCfg.Tenants[i].Policy)
+	}
+	multi := NewMultiSystem(multiCfg)
+	shCfg := testShardedConfig(2)
+	pol(&shCfg.Policy)
+	sh := NewShardedSystem(shCfg)
+	tiCfg := testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)
+	pol(&tiCfg.Policy)
+	ti := NewTieredSystem(tiCfg)
+	underLock := func(mu sync.Locker) func(func()) {
+		return func(f func()) {
+			mu.Lock()
+			defer mu.Unlock()
+			f()
+		}
+	}
+	return []lifecycleCase{
+		{
+			name: "System", controlLoop: sys.controlLoop, handler: sys.ControlHandler(),
+			drive: func() {
+				for p := uint64(0); p < 32; p++ {
+					sys.Access(p*ps, false)
+				}
+			},
+			degrade: func() { underLock(&sys.mu)(func() { sys.pol.degraded = true }) },
+			block:   underLock(&sys.mu),
+		},
+		{
+			name: "MultiSystem", controlLoop: multi.controlLoop, handler: multi.ControlHandler(),
+			drive: func() {
+				for p := uint64(0); p < 32; p++ {
+					multi.Access(0, p*ps, false)
+					multi.Access(1, (64+p)*ps, false)
+				}
+			},
+			degrade: func() { underLock(&multi.mu)(func() { multi.agents[1].degraded = true }) },
+			block:   underLock(&multi.mu),
+		},
+		{
+			// ShardedSystem has no control handler of its own; its loop's
+			// shared routes are the whole /healthz surface.
+			name: "ShardedSystem", controlLoop: sh.controlLoop, handler: sh.controlMux(),
+			drive: func() {
+				for p := uint64(0); p < 64; p++ {
+					sh.Access(p*ps, false)
+				}
+			},
+			degrade: func() {
+				sh.sm.RunShard(1, func(*memsim.Machine) { sh.agents[1].degraded = true })
+			},
+			// Both passes visit shard 0 first, so holding its lock stalls them.
+			block: func(f func()) { sh.sm.RunShard(0, func(*memsim.Machine) { f() }) },
+		},
+		{
+			name: "TieredSystem", controlLoop: ti.controlLoop, handler: ti.ControlHandler(),
+			drive: func() {
+				for p := uint64(0); p < 64; p++ {
+					ti.Access(p*ps, false)
+				}
+			},
+			degrade: func() { underLock(&ti.mu)(func() { ti.agents[1].degraded = true }) },
+			block:   underLock(&ti.mu),
+		},
+	}
+}
 
 // getHealthz fetches /healthz from a handler-backed test server and
 // returns the status code and decoded body.

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 )
 
 // ControlHandler returns an http.Handler exposing the multi-tenant
@@ -25,8 +24,7 @@ import (
 // (cmd/artmon) treat a 404 there as "not a multi-tenant daemon" and
 // degrade gracefully.
 func (s *MultiSystem) ControlHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", healthzHandler(s))
+	mux := s.controlMux()
 	mux.HandleFunc("GET /tenants", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.TenantsReport())
@@ -39,31 +37,15 @@ func (s *MultiSystem) ControlHandler() http.Handler {
 		lc := s.plane.Stats()
 		s.mu.Unlock()
 		payload := struct {
-			VirtualNs        int64   `json:"virtual_ns"`
-			FastAccesses     uint64  `json:"fast_accesses"`
-			SlowAccesses     uint64  `json:"slow_accesses"`
-			CacheHits        uint64  `json:"cache_hits"`
-			DRAMRatio        float64 `json:"dram_ratio"`
-			Migrations       uint64  `json:"migrations"`
-			Promotions       uint64  `json:"promotions"`
-			Demotions        uint64  `json:"demotions"`
-			MigratedBytes    uint64  `json:"migrated_bytes"`
-			ActiveTenants    int     `json:"active_tenants"`
-			Registrations    uint64  `json:"registrations"`
-			Deregistrations  uint64  `json:"deregistrations"`
-			Crashes          uint64  `json:"crashes"`
-			ReclaimRollbacks uint64  `json:"reclaim_rollbacks"`
-			Faults           any     `json:"faults,omitempty"`
+			machineStats
+			ActiveTenants    int    `json:"active_tenants"`
+			Registrations    uint64 `json:"registrations"`
+			Deregistrations  uint64 `json:"deregistrations"`
+			Crashes          uint64 `json:"crashes"`
+			ReclaimRollbacks uint64 `json:"reclaim_rollbacks"`
+			Faults           any    `json:"faults,omitempty"`
 		}{
-			VirtualNs:        now,
-			FastAccesses:     c.FastAccesses,
-			SlowAccesses:     c.SlowAccesses,
-			CacheHits:        c.CacheHits,
-			DRAMRatio:        c.DRAMRatio(),
-			Migrations:       c.Migrations,
-			Promotions:       c.Promotions,
-			Demotions:        c.Demotions,
-			MigratedBytes:    c.MigratedBytes,
+			machineStats:     newMachineStats(now, c),
 			ActiveTenants:    active,
 			Registrations:    lc.Registrations,
 			Deregistrations:  lc.Deregistrations,
@@ -77,34 +59,18 @@ func (s *MultiSystem) ControlHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(payload)
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// The registry's pull closures lock s.mu themselves; this handler
-		// must not hold it (see internal/core/telemetry.go).
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.tel.Registry.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.tel.Registry.Snapshot())
-	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		tenant := 0
-		if q := r.URL.Query().Get("tenant"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 || v >= len(s.agents) {
-				http.Error(w, "bad tenant", http.StatusBadRequest)
-				return
-			}
-			tenant = v
+		tenant, ok := queryInt(w, r, "tenant", 0)
+		if !ok {
+			return
 		}
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		if tenant >= len(s.agents) {
+			http.Error(w, "bad tenant", http.StatusBadRequest)
+			return
+		}
+		n, ok := queryInt(w, r, "n", 0)
+		if !ok {
+			return
 		}
 		s.mu.Lock()
 		a := s.agents[tenant]

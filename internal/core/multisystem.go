@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"artmem/internal/faultinject"
@@ -27,6 +26,8 @@ import (
 // shared set carries the machine-level series plus tenant-labelled
 // aggregates and is what ControlHandler serves.
 type MultiSystem struct {
+	*controlLoop
+
 	mu    sync.Mutex
 	m     *memsim.Machine
 	plane *tenancy.Plane
@@ -43,32 +44,7 @@ type MultiSystem struct {
 	// a crashed tenant's in-memory state is lost, as in production.
 	checkpoints map[string]agentCheckpoint
 
-	injector *faultinject.Injector
-
-	samplingInterval  time.Duration
-	migrationInterval time.Duration
-	watchdogInterval  time.Duration
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	started bool
-
-	tel           *telemetry.Set
 	traceCapacity int
-
-	// Liveness accounting, as in System: heartbeats advance once per
-	// completed worker iteration across all tenants.
-	sampleBeats   *telemetry.Counter
-	migrateBeats  *telemetry.Counter
-	sampleStalls  *telemetry.Counter
-	migrateStalls *telemetry.Counter
-	panics        *telemetry.Counter
-	ctlBusy       *telemetry.Counter
-
-	// draining is set by the daemon during graceful shutdown so
-	// /healthz can advertise the state to load balancers.
-	draining atomic.Bool
 }
 
 // TenantConfig describes one tenant of a MultiSystem.
@@ -130,15 +106,6 @@ func NewMultiSystem(cfg MultiSystemConfig) *MultiSystem {
 	if len(cfg.Tenants) > cfg.Capacity {
 		panic("core: more initial tenants than capacity")
 	}
-	if cfg.SamplingInterval == 0 {
-		cfg.SamplingInterval = 2 * time.Millisecond
-	}
-	if cfg.MigrationInterval == 0 {
-		cfg.MigrationInterval = 20 * time.Millisecond
-	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = time.Second
-	}
 	m := memsim.NewMachine(cfg.Machine)
 	var inj *faultinject.Injector
 	if cfg.Faults != nil {
@@ -154,37 +121,30 @@ func NewMultiSystem(cfg MultiSystemConfig) *MultiSystem {
 		}
 	}
 	s := &MultiSystem{
-		m:                 m,
-		plane:             plane,
-		agents:            make([]*ArtMem, cfg.Capacity),
-		policies:          make([]Config, cfg.Capacity),
-		checkpoints:       make(map[string]agentCheckpoint),
-		injector:          inj,
-		samplingInterval:  cfg.SamplingInterval,
-		migrationInterval: cfg.MigrationInterval,
-		watchdogInterval:  cfg.WatchdogInterval,
-		stop:              make(chan struct{}),
-		tel:               tel,
-		traceCapacity:     cfg.TraceCapacity,
+		m:             m,
+		plane:         plane,
+		agents:        make([]*ArtMem, cfg.Capacity),
+		policies:      make([]Config, cfg.Capacity),
+		checkpoints:   make(map[string]agentCheckpoint),
+		traceCapacity: cfg.TraceCapacity,
 	}
 	for _, t := range cfg.Tenants {
 		if _, err := s.registerLocked(t); err != nil {
 			panic("core: initial tenant registration failed: " + err.Error())
 		}
 	}
-	reg := tel.Registry
-	s.sampleBeats = reg.Counter("artmem_sampling_beats_total",
-		"Completed sampling-thread iterations (ksampled heartbeats).")
-	s.migrateBeats = reg.Counter("artmem_migration_beats_total",
-		"Completed migration-thread iterations (kmigrated heartbeats).")
-	s.sampleStalls = reg.Counter("artmem_sampling_stalls_total",
-		"Watchdog intervals in which the sampling thread made no progress.")
-	s.migrateStalls = reg.Counter("artmem_migration_stalls_total",
-		"Watchdog intervals in which the migration thread made no progress.")
-	s.panics = reg.Counter("artmem_worker_panics_total",
-		"Recovered panics in the worker threads.")
-	s.ctlBusy = reg.Counter("artmem_control_busy_ns_total",
-		"Wall nanoseconds the control loop held the plane lock (sampling drains, arbiter + migration passes) — the serve layer's migration-stall attribution source.")
+	s.controlLoop = newControlLoop(loopConfig{
+		prefix:            "artmem_",
+		tel:               tel,
+		injector:          inj,
+		lock:              &s.mu,
+		sample:            s.samplePass,
+		migrate:           s.migratePass,
+		degraded:          func() bool { return anyDegraded(s.agents) },
+		samplingInterval:  cfg.SamplingInterval,
+		migrationInterval: cfg.MigrationInterval,
+		watchdogInterval:  cfg.WatchdogInterval,
+	})
 	s.registerMultiMetrics()
 	return s
 }
@@ -285,11 +245,6 @@ func (s *MultiSystem) registerMultiMetrics() {
 	}
 }
 
-// Telemetry returns the shared registry + trace served by the control
-// endpoints. Per-tenant agent telemetry lives on the agents' own sets
-// (Agent(i).Telemetry()).
-func (s *MultiSystem) Telemetry() *telemetry.Set { return s.tel }
-
 // Machine returns the underlying machine. Callers must not use it
 // concurrently with a started MultiSystem except through MultiSystem
 // methods.
@@ -303,40 +258,6 @@ func (s *MultiSystem) NumTenants() int { return len(s.agents) }
 
 // Agent returns tenant i's ArtMem agent.
 func (s *MultiSystem) Agent(i int) *ArtMem { return s.agents[i] }
-
-// Injector returns the installed fault injector, or nil.
-func (s *MultiSystem) Injector() *faultinject.Injector { return s.injector }
-
-// Start launches the sampling, migration, and watchdog threads. It is a
-// no-op if already started.
-func (s *MultiSystem) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return
-	}
-	s.started = true
-	s.wg.Add(2)
-	go s.samplingThread()
-	go s.migrationThread()
-	if s.watchdogInterval > 0 {
-		s.wg.Add(1)
-		go s.watchdogThread()
-	}
-}
-
-// Stop halts the background threads and waits for them. Idempotent.
-func (s *MultiSystem) Stop() {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = false
-	s.mu.Unlock()
-	close(s.stop)
-	s.wg.Wait()
-}
 
 // Access performs one application memory access on behalf of tenant i:
 // the machine charges the access (and any first-touch allocation) to
@@ -378,28 +299,6 @@ func (s *MultiSystem) Now() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m.Now()
-}
-
-// Health returns the runtime's liveness snapshot; Degraded reports
-// whether ANY tenant's agent is in the heuristic fallback.
-func (s *MultiSystem) Health() Health {
-	s.mu.Lock()
-	degraded := false
-	for _, a := range s.agents {
-		if a != nil && a.degraded {
-			degraded = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	return Health{
-		SamplingBeats:   s.sampleBeats.Value(),
-		MigrationBeats:  s.migrateBeats.Value(),
-		SamplingStalls:  s.sampleStalls.Value(),
-		MigrationStalls: s.migrateStalls.Value(),
-		Panics:          s.panics.Value(),
-		Degraded:        degraded,
-	}
 }
 
 // TenantStatus is one tenant's row of a TenantsReport — the JSON shape
@@ -498,114 +397,39 @@ func (s *MultiSystem) TenantsReport() TenantsReport {
 	return rep
 }
 
-// runProtected executes one worker iteration under the lock, recovering
-// from panics, exactly as System.runProtected does.
-func (s *MultiSystem) runProtected(beat *telemetry.Counter, f func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-		}
-	}()
-	s.mu.Lock()
-	t0 := time.Now()
-	defer func() {
-		s.ctlBusy.Add(uint64(time.Since(t0)))
-		s.mu.Unlock()
-	}()
-	f()
-	beat.Inc()
-}
-
-// ControlBusyNs returns the cumulative wall nanoseconds the shared
-// control loop held the plane lock — the serve layer's migration-stall
-// attribution source, as System.ControlBusyNs.
-func (s *MultiSystem) ControlBusyNs() int64 { return int64(s.ctlBusy.Value()) }
-
-// SetDraining marks (or clears) the graceful-shutdown state advertised
-// by /healthz.
-func (s *MultiSystem) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports the graceful-shutdown state set by SetDraining.
-func (s *MultiSystem) Draining() bool { return s.draining.Load() }
-
-// samplingThread drains every tenant agent's PEBS buffer each period —
-// the single shared ksampled serving all memcgs.
-func (s *MultiSystem) samplingThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.samplingInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.runProtected(s.sampleBeats, func() {
-				for _, a := range s.agents {
-					if a != nil {
-						a.PumpSamples()
-					}
-				}
-			})
+// samplePass drains every tenant agent's PEBS buffer — the single
+// shared ksampled serving all memcgs.
+func (s *MultiSystem) samplePass() {
+	for _, a := range s.agents {
+		if a != nil {
+			a.PumpSamples()
 		}
 	}
 }
 
-// migrationThread opens one arbiter control period (budget refill,
-// possible dynamic rebalance) and then runs every tenant agent's RL
-// decision period under it — the shared kmigrated.
-func (s *MultiSystem) migrationThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.migrationInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.runProtected(s.migrateBeats, func() {
-				s.plane.BeginPeriod()
-				// Interrupted departures retry once per period so a
-				// draining slot eventually empties.
-				s.plane.RetryDrains()
-				now := s.m.Now()
-				for _, a := range s.agents {
-					if a != nil {
-						a.Tick(now)
-					}
-				}
-			})
+// migratePass opens one arbiter control period (budget refill, possible
+// dynamic rebalance) and then runs every tenant agent's RL decision
+// period under it — the shared kmigrated.
+func (s *MultiSystem) migratePass() {
+	s.plane.BeginPeriod()
+	// Interrupted departures retry once per period so a draining slot
+	// eventually empties.
+	s.plane.RetryDrains()
+	now := s.m.Now()
+	for _, a := range s.agents {
+		if a != nil {
+			a.Tick(now)
 		}
 	}
 }
 
-// watchdogThread checks once per interval that both workers' heartbeats
-// advanced, sharing System's watchdogCheck logic.
-func (s *MultiSystem) watchdogThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.watchdogInterval)
-	defer tick.Stop()
-	var w watchdogState
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.watchdogCheck(&w)
+// anyDegraded reports whether any non-nil agent runs the heuristic
+// fallback.
+func anyDegraded(agents []*ArtMem) bool {
+	for _, a := range agents {
+		if a != nil && a.degraded {
+			return true
 		}
 	}
-}
-
-// watchdogCheck performs one watchdog interval's stall accounting (see
-// System.watchdogCheck).
-func (s *MultiSystem) watchdogCheck(w *watchdogState) {
-	if cur := s.sampleBeats.Value(); cur == w.lastSample {
-		s.sampleStalls.Inc()
-	} else {
-		w.lastSample = cur
-	}
-	if cur := s.migrateBeats.Value(); cur == w.lastMigrate {
-		s.migrateStalls.Inc()
-	} else {
-		w.lastMigrate = cur
-	}
+	return false
 }

@@ -246,59 +246,84 @@ func TestDegradeAfterDisabled(t *testing.T) {
 	}
 }
 
-func TestSystemHealthAndWatchdogBeats(t *testing.T) {
-	s := NewSystem(testSystemConfig())
-	s.Start()
+// waitFor polls cond every millisecond until it holds, failing the
+// test with what after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h := s.Health()
-		if h.SamplingBeats > 0 && h.MigrationBeats > 0 {
-			break
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker heartbeats did not advance: %+v", h)
+			t.Fatal(what)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	if h := s.Health(); h.Panics != 0 {
-		t.Errorf("panics = %d in a healthy run", h.Panics)
 	}
 }
 
-func TestSystemRecoversFromPolicyPanics(t *testing.T) {
-	cfg := testSystemConfig()
-	// A Debug hook that panics models a crashing policy tick: the
-	// migration thread must recover and keep running.
-	cfg.Policy.Debug = func(format string, args ...any) { panic("injected tick panic") }
-	s := NewSystem(cfg)
-	s.Start()
-	// Feed accesses so ticks take the RL path (which calls Debug).
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Health().Panics == 0 {
-		for p := uint64(0); p < 32; p++ {
-			s.Access(p*64*1024, false)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no panic was recovered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The system is still alive: sampling continues and Stop returns.
-	before := s.Health().SamplingBeats
-	deadline = time.Now().Add(5 * time.Second)
-	for s.Health().SamplingBeats == before {
-		if time.Now().After(deadline) {
-			t.Fatal("sampling thread died after the panic")
-		}
-		time.Sleep(time.Millisecond)
-	}
+// stopWithin fails the test if Stop does not return in 10s.
+func stopWithin(t *testing.T, l *controlLoop) {
+	t.Helper()
 	done := make(chan struct{})
-	go func() { s.Stop(); close(done) }()
+	go func() { l.Stop(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Stop deadlocked after recovered panics")
+		t.Fatal("Stop deadlocked")
+	}
+}
+
+// TestSystemHealthAndWatchdogBeats runs every runtime's threads for
+// real: Start and Stop are idempotent, both workers beat, and a worker
+// held off its lock is counted as stalled by the live watchdog.
+func TestSystemHealthAndWatchdogBeats(t *testing.T) {
+	for _, s := range lifecycleCases(t, func(*Config) {}) {
+		t.Run(s.name, func(t *testing.T) {
+			s.watchdogInterval = 2 * time.Millisecond
+			s.Start()
+			s.Start() // no-op
+			defer s.Stop() // stops the threads if a check fails early
+			waitFor(t, "worker heartbeats did not advance", func() bool {
+				s.drive()
+				h := s.Health()
+				return h.SamplingBeats > 0 && h.MigrationBeats > 0
+			})
+			s.block(func() {
+				// Health may need the held lock; read the counters directly.
+				waitFor(t, "blocked workers not counted as stalled", func() bool {
+					return s.sampleStalls.Value() > 0 && s.migrateStalls.Value() > 0
+				})
+			})
+			stopWithin(t, s.controlLoop)
+			s.Stop() // no-op
+			if h := s.Health(); h.Panics != 0 {
+				t.Errorf("panics = %d in a healthy run", h.Panics)
+			}
+		})
+	}
+}
+
+// TestSystemRecoversFromPolicyPanics: a Debug hook that panics models a
+// crashing policy tick. On every runtime the migration thread must
+// recover and count it, sampling must keep beating, and Stop must
+// return.
+func TestSystemRecoversFromPolicyPanics(t *testing.T) {
+	panicky := func(c *Config) {
+		c.Debug = func(format string, args ...any) { panic("injected tick panic") }
+	}
+	for _, s := range lifecycleCases(t, panicky) {
+		t.Run(s.name, func(t *testing.T) {
+			s.Start()
+			defer s.Stop() // stops the threads if a check fails early
+			// Feed accesses so ticks take the RL path (which calls Debug).
+			waitFor(t, "no panic was recovered", func() bool {
+				s.drive()
+				return s.Health().Panics > 0
+			})
+			before := s.Health().SamplingBeats
+			waitFor(t, "sampling thread died after the panic", func() bool {
+				return s.Health().SamplingBeats > before
+			})
+			stopWithin(t, s.controlLoop)
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"artmem/internal/faultinject"
@@ -30,6 +28,8 @@ import (
 // moves free fast-tier capacity toward demanded shards through the
 // sharded machine's epoch-based TransferCapacity transactions.
 type ShardedSystem struct {
+	*controlLoop
+
 	sm     *memsim.ShardedMachine
 	agents []*ArtMem
 	// agentTels holds each agent's private telemetry set: ArtMem's
@@ -37,34 +37,13 @@ type ShardedSystem struct {
 	// registry (the MultiSystem discipline).
 	agentTels []*telemetry.Set
 
-	injector *faultinject.Injector
-
-	samplingInterval  time.Duration
-	migrationInterval time.Duration
-	watchdogInterval  time.Duration
-	rebalance         int
-
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	mu      sync.Mutex // guards started
-	started bool
-
-	tel *telemetry.Set
-
-	sampleBeats   *telemetry.Counter
-	migrateBeats  *telemetry.Counter
-	sampleStalls  *telemetry.Counter
-	migrateStalls *telemetry.Counter
-	panics        *telemetry.Counter
-	ctlBusy       *telemetry.Counter
-	transfers     *telemetry.Counter
+	rebalance int
+	transfers *telemetry.Counter
 
 	// lastSlow tracks per-shard slow-access counts at the previous
 	// decision period; the delta is the demand signal the budget
 	// splitter consumes. Touched only by the migration thread.
 	lastSlow []uint64
-
-	draining atomic.Bool
 }
 
 // ShardedSystemConfig parameterizes a ShardedSystem.
@@ -103,15 +82,6 @@ func NewShardedSystem(cfg ShardedSystemConfig) *ShardedSystem {
 	if cfg.Shards == 0 {
 		cfg.Shards = 8
 	}
-	if cfg.SamplingInterval == 0 {
-		cfg.SamplingInterval = 2 * time.Millisecond
-	}
-	if cfg.MigrationInterval == 0 {
-		cfg.MigrationInterval = 20 * time.Millisecond
-	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = time.Second
-	}
 	if cfg.RebalancePages == 0 {
 		cfg.RebalancePages = 32
 	}
@@ -126,15 +96,9 @@ func NewShardedSystem(cfg ShardedSystemConfig) *ShardedSystem {
 		tel = telemetry.NewSet()
 	}
 	s := &ShardedSystem{
-		sm:                sm,
-		injector:          inj,
-		samplingInterval:  cfg.SamplingInterval,
-		migrationInterval: cfg.MigrationInterval,
-		watchdogInterval:  cfg.WatchdogInterval,
-		rebalance:         cfg.RebalancePages,
-		stop:              make(chan struct{}),
-		tel:               tel,
-		lastSlow:          make([]uint64, cfg.Shards),
+		sm:        sm,
+		rebalance: cfg.RebalancePages,
+		lastSlow:  make([]uint64, cfg.Shards),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		pcfg := cfg.Policy
@@ -146,19 +110,18 @@ func NewShardedSystem(cfg ShardedSystemConfig) *ShardedSystem {
 		s.agents = append(s.agents, a)
 		s.agentTels = append(s.agentTels, at)
 	}
+	s.controlLoop = newControlLoop(loopConfig{
+		prefix:            "artmem_sharded_",
+		tel:               tel,
+		injector:          inj,
+		sample:            s.samplePass,
+		migrate:           s.migratePass,
+		degraded:          s.anyShardDegraded,
+		samplingInterval:  cfg.SamplingInterval,
+		migrationInterval: cfg.MigrationInterval,
+		watchdogInterval:  cfg.WatchdogInterval,
+	})
 	reg := tel.Registry
-	s.sampleBeats = reg.Counter("artmem_sharded_sampling_beats_total",
-		"Completed sampling passes over all shards.")
-	s.migrateBeats = reg.Counter("artmem_sharded_migration_beats_total",
-		"Completed migration passes over all shards.")
-	s.sampleStalls = reg.Counter("artmem_sharded_sampling_stalls_total",
-		"Watchdog intervals in which the sampling thread made no progress.")
-	s.migrateStalls = reg.Counter("artmem_sharded_migration_stalls_total",
-		"Watchdog intervals in which the migration thread made no progress.")
-	s.panics = reg.Counter("artmem_sharded_worker_panics_total",
-		"Recovered panics in the shared worker threads.")
-	s.ctlBusy = reg.Counter("artmem_sharded_control_busy_ns_total",
-		"Wall nanoseconds the control threads held shard locks — the serve layer's stall-attribution source. Per-shard, so concurrent access batches on other shards proceed during it.")
 	s.transfers = reg.Counter("artmem_sharded_capacity_transfers_total",
 		"Committed cross-shard capacity-transfer transactions (rebalance pass).")
 	reg.GaugeFunc("artmem_sharded_shards",
@@ -180,24 +143,6 @@ func (s *ShardedSystem) Agent(i int) *ArtMem { return s.agents[i] }
 
 // AgentTelemetry returns shard i's private telemetry set.
 func (s *ShardedSystem) AgentTelemetry(i int) *telemetry.Set { return s.agentTels[i] }
-
-// Telemetry returns the runtime's aggregate telemetry set.
-func (s *ShardedSystem) Telemetry() *telemetry.Set { return s.tel }
-
-// Injector returns the installed fault injector, or nil.
-func (s *ShardedSystem) Injector() *faultinject.Injector { return s.injector }
-
-// ControlBusyNs returns cumulative wall nanoseconds the control
-// threads spent holding shard locks (System.ControlBusyNs's analogue;
-// here the locks are per-shard, so the serving layer's stall
-// attribution is an upper bound on any one batch's exposure).
-func (s *ShardedSystem) ControlBusyNs() int64 { return int64(s.ctlBusy.Value()) }
-
-// SetDraining marks (or clears) the graceful-shutdown state.
-func (s *ShardedSystem) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports the graceful-shutdown state.
-func (s *ShardedSystem) Draining() bool { return s.draining.Load() }
 
 // Access performs one application access (shard-locked).
 func (s *ShardedSystem) Access(addr uint64, write bool) { s.sm.Access(addr, write) }
@@ -274,88 +219,17 @@ func (s *ShardedSystem) Now() int64 {
 	return now
 }
 
-// Health returns the runtime's liveness snapshot; Degraded reports
-// whether ANY shard's agent is in the heuristic fallback.
-func (s *ShardedSystem) Health() Health {
-	degraded := false
+// anyShardDegraded reports whether any shard's agent runs the heuristic
+// fallback, reading each under its shard lock.
+func (s *ShardedSystem) anyShardDegraded() bool {
 	for i, a := range s.agents {
 		var d bool
 		s.sm.RunShard(i, func(*memsim.Machine) { d = a.Degraded() })
 		if d {
-			degraded = true
-			break
+			return true
 		}
 	}
-	return Health{
-		SamplingBeats:   s.sampleBeats.Value(),
-		MigrationBeats:  s.migrateBeats.Value(),
-		SamplingStalls:  s.sampleStalls.Value(),
-		MigrationStalls: s.migrateStalls.Value(),
-		Panics:          s.panics.Value(),
-		Degraded:        degraded,
-	}
-}
-
-// Start launches the shared sampling, migration, and watchdog
-// threads. No-op if already started.
-func (s *ShardedSystem) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return
-	}
-	s.started = true
-	s.wg.Add(2)
-	go s.thread(s.samplingInterval, s.sampleBeats, s.samplePass)
-	go s.thread(s.migrationInterval, s.migrateBeats, s.migratePass)
-	if s.watchdogInterval > 0 {
-		s.wg.Add(1)
-		go s.watchdogThread()
-	}
-}
-
-// Stop halts the background threads and waits for them. Idempotent.
-func (s *ShardedSystem) Stop() {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = false
-	s.mu.Unlock()
-	close(s.stop)
-	s.wg.Wait()
-}
-
-// thread runs pass once per interval with panic recovery and busy
-// accounting, bumping beat on success.
-func (s *ShardedSystem) thread(interval time.Duration, beat *telemetry.Counter, pass func()) {
-	defer s.wg.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.runProtected(beat, pass)
-		}
-	}
-}
-
-// runProtected runs one control pass, recovering panics (a crashing
-// per-shard tick must not take the shared thread down) and charging
-// the pass's wall time to the busy counter.
-func (s *ShardedSystem) runProtected(beat *telemetry.Counter, pass func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-		}
-	}()
-	t0 := time.Now()
-	defer func() { s.ctlBusy.Add(uint64(time.Since(t0))) }()
-	pass()
-	beat.Inc()
+	return false
 }
 
 // samplePass drains every shard's PEBS ring into its agent's
@@ -438,32 +312,6 @@ func (s *ShardedSystem) rebalanceCapacity(budgets []int) {
 			if s.sm.TransferCapacity(donor, to, memsim.Fast, k) == nil {
 				s.transfers.Add(uint64(k))
 				want -= k
-			}
-		}
-	}
-}
-
-// watchdogThread mirrors System's: a worker whose beat does not
-// advance across an interval is counted as stalled.
-func (s *ShardedSystem) watchdogThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.watchdogInterval)
-	defer tick.Stop()
-	var lastSample, lastMigrate uint64
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			if cur := s.sampleBeats.Value(); cur == lastSample {
-				s.sampleStalls.Inc()
-			} else {
-				lastSample = cur
-			}
-			if cur := s.migrateBeats.Value(); cur == lastMigrate {
-				s.migrateStalls.Inc()
-			} else {
-				lastMigrate = cur
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"artmem/internal/faultinject"
@@ -11,10 +10,10 @@ import (
 )
 
 // System is the online ArtMem runtime: it wraps a machine and runs the
-// policy's sampling and migration work on dedicated background
-// goroutines — the userspace analogue of the paper's per-CPU ksampled
-// threads and the kmigrated kernel thread (§4.4). Application goroutines
-// drive memory accesses through Access; the background threads operate
+// policy's sampling and migration work on the shared control loop's
+// background goroutines — the userspace analogue of the paper's
+// ksampled and kmigrated threads (§4.4). Application goroutines drive
+// memory accesses through Access; the background threads operate
 // asynchronously and never appear on the access path's critical section
 // longer than one sampling drain.
 //
@@ -22,44 +21,19 @@ import (
 // through cgroup pseudo-files (memory.hit_ratio_show and friends); here
 // the channel is the ArtMem policy object itself, reachable via Policy.
 //
-// Resilience: both worker threads recover from panics (a crashing policy
-// tick must not take the daemon down), and a watchdog thread observes
-// per-worker heartbeats so a stalled loop is detected and surfaced
-// through Health rather than silently freezing the control loop.
+// Resilience comes from the embedded controlLoop (loop.go), shared with
+// the other three runtimes: both worker threads recover from panics (a
+// crashing policy tick must not take the daemon down), and a watchdog
+// thread observes per-worker heartbeats so a stalled loop is detected
+// and surfaced through Health rather than silently freezing the control
+// loop. System contributes its two passes, its lock, and its agent's
+// degraded flag.
 type System struct {
+	*controlLoop
+
 	mu  sync.Mutex
 	m   *memsim.Machine
 	pol *ArtMem
-
-	injector *faultinject.Injector
-
-	samplingInterval  time.Duration
-	migrationInterval time.Duration
-	watchdogInterval  time.Duration
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	started bool
-
-	// Telemetry: the registry + decision trace shared with the policy
-	// and served over /metrics and /trace.
-	tel *telemetry.Set
-
-	// Liveness accounting, written by the worker threads and read by the
-	// watchdog and Health without taking mu. The counters live on the
-	// telemetry registry (atomic underneath), so they show up on
-	// /metrics without separate plumbing.
-	sampleBeats   *telemetry.Counter
-	migrateBeats  *telemetry.Counter
-	sampleStalls  *telemetry.Counter
-	migrateStalls *telemetry.Counter
-	panics        *telemetry.Counter
-	ctlBusy       *telemetry.Counter
-
-	// draining is set by the daemon during graceful shutdown so
-	// /healthz can advertise the state to load balancers.
-	draining atomic.Bool
 }
 
 // SystemConfig parameterizes an online System.
@@ -104,15 +78,6 @@ type SystemConfig struct {
 // NewSystem builds an online system. Call Start to launch the
 // background threads and Stop to halt them.
 func NewSystem(cfg SystemConfig) *System {
-	if cfg.SamplingInterval == 0 {
-		cfg.SamplingInterval = 2 * time.Millisecond
-	}
-	if cfg.MigrationInterval == 0 {
-		cfg.MigrationInterval = 20 * time.Millisecond
-	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = time.Second
-	}
 	m := memsim.NewMachine(cfg.Machine)
 	var inj *faultinject.Injector
 	if cfg.Faults != nil {
@@ -134,51 +99,22 @@ func NewSystem(cfg SystemConfig) *System {
 	pol := New(cfg.Policy)
 	pol.SetTelemetry(tel)
 	pol.Attach(m)
-	s := &System{
-		m:                 m,
-		pol:               pol,
+	s := &System{m: m, pol: pol}
+	s.controlLoop = newControlLoop(loopConfig{
+		prefix:            "artmem_",
+		tel:               tel,
 		injector:          inj,
+		lock:              &s.mu,
+		sample:            pol.PumpSamples,
+		migrate:           func() { pol.Tick(m.Now()) },
+		degraded:          func() bool { return pol.degraded },
 		samplingInterval:  cfg.SamplingInterval,
 		migrationInterval: cfg.MigrationInterval,
 		watchdogInterval:  cfg.WatchdogInterval,
-		stop:              make(chan struct{}),
-		tel:               tel,
-	}
-	reg := tel.Registry
-	s.sampleBeats = reg.Counter("artmem_sampling_beats_total",
-		"Completed sampling-thread iterations (ksampled heartbeats).")
-	s.migrateBeats = reg.Counter("artmem_migration_beats_total",
-		"Completed migration-thread iterations (kmigrated heartbeats).")
-	s.sampleStalls = reg.Counter("artmem_sampling_stalls_total",
-		"Watchdog intervals in which the sampling thread made no progress.")
-	s.migrateStalls = reg.Counter("artmem_migration_stalls_total",
-		"Watchdog intervals in which the migration thread made no progress.")
-	s.panics = reg.Counter("artmem_worker_panics_total",
-		"Recovered panics in the worker threads.")
-	s.ctlBusy = reg.Counter("artmem_control_busy_ns_total",
-		"Wall nanoseconds the control loop held the system lock (sampling drains, migration passes) — the serve layer's migration-stall attribution source.")
+	})
 	s.registerMetrics()
 	return s
 }
-
-// ControlBusyNs returns the cumulative wall nanoseconds the control
-// loop's worker threads held the system lock. Access batches contend
-// with exactly that lock, so differencing this counter across a
-// batch's queue residency attributes its migration/sampling stall
-// (serve.Config.StallNs).
-func (s *System) ControlBusyNs() int64 { return int64(s.ctlBusy.Value()) }
-
-// SetDraining marks (or clears) the graceful-shutdown state advertised
-// by /healthz. The control loop keeps running; this is pure signaling
-// for load balancers.
-func (s *System) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports the graceful-shutdown state set by SetDraining.
-func (s *System) Draining() bool { return s.draining.Load() }
-
-// Telemetry returns the system's registry + decision trace, the set
-// served by the control endpoints.
-func (s *System) Telemetry() *telemetry.Set { return s.tel }
 
 // Machine returns the underlying machine. Callers must not use it
 // concurrently with a started System except through System methods.
@@ -186,41 +122,6 @@ func (s *System) Machine() *memsim.Machine { return s.m }
 
 // Policy returns the ArtMem agent (the paper's userspace-RL view).
 func (s *System) Policy() *ArtMem { return s.pol }
-
-// Injector returns the installed fault injector, or nil when the system
-// runs fault-free.
-func (s *System) Injector() *faultinject.Injector { return s.injector }
-
-// Start launches the sampling, migration, and watchdog threads. It is a
-// no-op if already started.
-func (s *System) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return
-	}
-	s.started = true
-	s.wg.Add(2)
-	go s.samplingThread()
-	go s.migrationThread()
-	if s.watchdogInterval > 0 {
-		s.wg.Add(1)
-		go s.watchdogThread()
-	}
-}
-
-// Stop halts the background threads and waits for them. Idempotent.
-func (s *System) Stop() {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = false
-	s.mu.Unlock()
-	close(s.stop)
-	s.wg.Wait()
-}
 
 // Access performs one application memory access.
 func (s *System) Access(addr uint64, write bool) {
@@ -254,38 +155,6 @@ func (s *System) Now() int64 {
 	return s.m.Now()
 }
 
-// Health is a snapshot of the runtime's liveness and resilience state.
-type Health struct {
-	// SamplingBeats and MigrationBeats count completed worker
-	// iterations; a live system's beats keep advancing.
-	SamplingBeats  uint64
-	MigrationBeats uint64
-	// SamplingStalls and MigrationStalls count watchdog intervals during
-	// which the corresponding thread made no progress.
-	SamplingStalls  uint64
-	MigrationStalls uint64
-	// Panics counts worker-thread panics that were recovered.
-	Panics uint64
-	// Degraded reports whether the agent is in the heuristic fallback.
-	Degraded bool
-}
-
-// Health returns the runtime's liveness snapshot. Safe to call
-// concurrently with a running System.
-func (s *System) Health() Health {
-	s.mu.Lock()
-	degraded := s.pol.degraded
-	s.mu.Unlock()
-	return Health{
-		SamplingBeats:   s.sampleBeats.Value(),
-		MigrationBeats:  s.migrateBeats.Value(),
-		SamplingStalls:  s.sampleStalls.Value(),
-		MigrationStalls: s.migrateStalls.Value(),
-		Panics:          s.panics.Value(),
-		Degraded:        degraded,
-	}
-}
-
 // SaveQTablesFile checkpoints the agent's Q-tables to path under the
 // system lock, safe to call while the system is running. The paper
 // primes its agent from previously saved tables (§6.2); the daemon uses
@@ -302,98 +171,4 @@ func (s *System) RestoreQTablesFile(path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pol.RestoreQTablesFile(path)
-}
-
-// runProtected executes one worker iteration under the system lock,
-// recovering from panics (the lock is released by the deferred unlock
-// before the recover fires, so a panicking tick cannot poison the
-// mutex). The beat advances only on successful iterations.
-func (s *System) runProtected(beat *telemetry.Counter, f func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-		}
-	}()
-	s.mu.Lock()
-	t0 := time.Now()
-	defer func() {
-		s.ctlBusy.Add(uint64(time.Since(t0)))
-		s.mu.Unlock()
-	}()
-	f()
-	beat.Inc()
-}
-
-// samplingThread mirrors ksampled: it periodically drains the PEBS
-// buffer into the histogram and the recency lists.
-func (s *System) samplingThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.samplingInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.runProtected(s.sampleBeats, s.pol.PumpSamples)
-		}
-	}
-}
-
-// migrationThread mirrors kmigrated: it periodically runs one RL
-// decision period (Algorithm 1) and executes the chosen migrations.
-func (s *System) migrationThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.migrationInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.runProtected(s.migrateBeats, func() { s.pol.Tick(s.m.Now()) })
-		}
-	}
-}
-
-// watchdogState is the watchdog's memory between checks: the heartbeat
-// values seen at the previous interval. Extracted (together with
-// watchdogCheck) so Health transitions are unit-testable without real
-// timers.
-type watchdogState struct {
-	lastSample, lastMigrate uint64
-}
-
-// watchdogCheck performs one watchdog interval's work: any worker whose
-// heartbeat did not advance since the previous check is counted as
-// stalled. Stall counts are monotonic — a recovered thread stops
-// accumulating them but past stalls remain visible in Health.
-func (s *System) watchdogCheck(w *watchdogState) {
-	if cur := s.sampleBeats.Value(); cur == w.lastSample {
-		s.sampleStalls.Inc()
-	} else {
-		w.lastSample = cur
-	}
-	if cur := s.migrateBeats.Value(); cur == w.lastMigrate {
-		s.migrateStalls.Inc()
-	} else {
-		w.lastMigrate = cur
-	}
-}
-
-// watchdogThread checks once per interval that both workers' heartbeats
-// advanced.
-func (s *System) watchdogThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.watchdogInterval)
-	defer tick.Stop()
-	var w watchdogState
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.watchdogCheck(&w)
-		}
-	}
 }

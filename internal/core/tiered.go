@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"artmem/internal/faultinject"
@@ -28,6 +27,8 @@ import (
 // a two-tier problem with its own Q-tables), not access parallelism.
 // Scale-out stays ShardedSystem's job.
 type TieredSystem struct {
+	*controlLoop
+
 	mu     sync.Mutex
 	m      *memsim.Machine
 	hub    *memsim.BoundaryHub
@@ -37,28 +38,7 @@ type TieredSystem struct {
 	// share one registry (the ShardedSystem discipline).
 	agentTels []*telemetry.Set
 
-	budgets  *tier.Budgets
-	injector *faultinject.Injector
-
-	samplingInterval  time.Duration
-	migrationInterval time.Duration
-	watchdogInterval  time.Duration
-
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	runMu   sync.Mutex // guards started
-	started bool
-
-	tel *telemetry.Set
-
-	sampleBeats   *telemetry.Counter
-	migrateBeats  *telemetry.Counter
-	sampleStalls  *telemetry.Counter
-	migrateStalls *telemetry.Counter
-	panics        *telemetry.Counter
-	ctlBusy       *telemetry.Counter
-
-	draining atomic.Bool
+	budgets *tier.Budgets
 }
 
 // TieredSystemConfig parameterizes a TieredSystem.
@@ -93,15 +73,6 @@ type TieredSystemConfig struct {
 // NewTieredSystem builds the N-tier runtime. Call Start to launch the
 // background threads and Stop to halt them.
 func NewTieredSystem(cfg TieredSystemConfig) *TieredSystem {
-	if cfg.SamplingInterval == 0 {
-		cfg.SamplingInterval = 2 * time.Millisecond
-	}
-	if cfg.MigrationInterval == 0 {
-		cfg.MigrationInterval = 20 * time.Millisecond
-	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = time.Second
-	}
 	m := memsim.NewMachine(cfg.Machine)
 	var inj *faultinject.Injector
 	if cfg.Faults != nil {
@@ -113,16 +84,7 @@ func NewTieredSystem(cfg TieredSystemConfig) *TieredSystem {
 		tel = telemetry.NewSet()
 	}
 	hub := memsim.NewBoundaryHub(m)
-	s := &TieredSystem{
-		m:                 m,
-		hub:               hub,
-		injector:          inj,
-		samplingInterval:  cfg.SamplingInterval,
-		migrationInterval: cfg.MigrationInterval,
-		watchdogInterval:  cfg.WatchdogInterval,
-		stop:              make(chan struct{}),
-		tel:               tel,
-	}
+	s := &TieredSystem{m: m, hub: hub}
 	if cfg.BoundaryBudget > 0 {
 		s.budgets = tier.NewBudgets(hub.NumBoundaries(), cfg.BoundaryBudget)
 		s.budgets.Reset()
@@ -138,19 +100,19 @@ func NewTieredSystem(cfg TieredSystemConfig) *TieredSystem {
 		s.agents = append(s.agents, a)
 		s.agentTels = append(s.agentTels, at)
 	}
+	s.controlLoop = newControlLoop(loopConfig{
+		prefix:            "artmem_tiered_",
+		tel:               tel,
+		injector:          inj,
+		lock:              &s.mu,
+		sample:            s.samplePass,
+		migrate:           s.migratePass,
+		degraded:          func() bool { return anyDegraded(s.agents) },
+		samplingInterval:  cfg.SamplingInterval,
+		migrationInterval: cfg.MigrationInterval,
+		watchdogInterval:  cfg.WatchdogInterval,
+	})
 	reg := tel.Registry
-	s.sampleBeats = reg.Counter("artmem_tiered_sampling_beats_total",
-		"Completed sampling passes over all boundary agents.")
-	s.migrateBeats = reg.Counter("artmem_tiered_migration_beats_total",
-		"Completed migration passes over all boundary agents.")
-	s.sampleStalls = reg.Counter("artmem_tiered_sampling_stalls_total",
-		"Watchdog intervals in which the sampling thread made no progress.")
-	s.migrateStalls = reg.Counter("artmem_tiered_migration_stalls_total",
-		"Watchdog intervals in which the migration thread made no progress.")
-	s.panics = reg.Counter("artmem_tiered_worker_panics_total",
-		"Recovered panics in the shared worker threads.")
-	s.ctlBusy = reg.Counter("artmem_tiered_control_busy_ns_total",
-		"Wall nanoseconds the control threads held the system lock — the serve layer's stall-attribution source.")
 	reg.GaugeFunc("artmem_tiered_boundaries",
 		"Tier-boundary count of the chain machine (agents running).",
 		func() float64 { return float64(len(s.agents)) })
@@ -256,22 +218,6 @@ func (s *TieredSystem) Agent(b int) *ArtMem { return s.agents[b] }
 // AgentTelemetry returns boundary b's private telemetry set.
 func (s *TieredSystem) AgentTelemetry(b int) *telemetry.Set { return s.agentTels[b] }
 
-// Telemetry returns the runtime's aggregate telemetry set.
-func (s *TieredSystem) Telemetry() *telemetry.Set { return s.tel }
-
-// Injector returns the installed fault injector, or nil.
-func (s *TieredSystem) Injector() *faultinject.Injector { return s.injector }
-
-// ControlBusyNs returns cumulative wall nanoseconds the control
-// threads held the system lock (System.ControlBusyNs's analogue).
-func (s *TieredSystem) ControlBusyNs() int64 { return int64(s.ctlBusy.Value()) }
-
-// SetDraining marks (or clears) the graceful-shutdown state.
-func (s *TieredSystem) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports the graceful-shutdown state.
-func (s *TieredSystem) Draining() bool { return s.draining.Load() }
-
 // Access performs one application access under the system lock.
 func (s *TieredSystem) Access(addr uint64, write bool) {
 	s.mu.Lock()
@@ -302,92 +248,6 @@ func (s *TieredSystem) Now() int64 {
 	return s.m.Now()
 }
 
-// Health returns the runtime's liveness snapshot; Degraded reports
-// whether ANY boundary's agent is in the heuristic fallback.
-func (s *TieredSystem) Health() Health {
-	s.mu.Lock()
-	degraded := false
-	for _, a := range s.agents {
-		if a.Degraded() {
-			degraded = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	return Health{
-		SamplingBeats:   s.sampleBeats.Value(),
-		MigrationBeats:  s.migrateBeats.Value(),
-		SamplingStalls:  s.sampleStalls.Value(),
-		MigrationStalls: s.migrateStalls.Value(),
-		Panics:          s.panics.Value(),
-		Degraded:        degraded,
-	}
-}
-
-// Start launches the shared sampling, migration, and watchdog threads.
-// No-op if already started.
-func (s *TieredSystem) Start() {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	if s.started {
-		return
-	}
-	s.started = true
-	s.wg.Add(2)
-	go s.thread(s.samplingInterval, s.sampleBeats, s.samplePass)
-	go s.thread(s.migrationInterval, s.migrateBeats, s.migratePass)
-	if s.watchdogInterval > 0 {
-		s.wg.Add(1)
-		go s.watchdogThread()
-	}
-}
-
-// Stop halts the background threads and waits for them. Idempotent.
-func (s *TieredSystem) Stop() {
-	s.runMu.Lock()
-	if !s.started {
-		s.runMu.Unlock()
-		return
-	}
-	s.started = false
-	s.runMu.Unlock()
-	close(s.stop)
-	s.wg.Wait()
-}
-
-func (s *TieredSystem) thread(interval time.Duration, beat *telemetry.Counter, pass func()) {
-	defer s.wg.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.runProtected(beat, pass)
-		}
-	}
-}
-
-// runProtected runs one control pass under the system lock, recovering
-// panics (a crashing boundary tick must not take the shared thread
-// down) and charging the pass's wall time to the busy counter.
-func (s *TieredSystem) runProtected(beat *telemetry.Counter, pass func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-		}
-	}()
-	s.mu.Lock()
-	t0 := time.Now()
-	defer func() {
-		s.ctlBusy.Add(uint64(time.Since(t0)))
-		s.mu.Unlock()
-	}()
-	pass()
-	beat.Inc()
-}
-
 // samplePass drains the shared PEBS stream into every boundary agent's
 // recency structures, in ascending boundary order.
 func (s *TieredSystem) samplePass() {
@@ -408,31 +268,5 @@ func (s *TieredSystem) migratePass() {
 	now := s.m.Now()
 	for _, a := range s.agents {
 		a.Tick(now)
-	}
-}
-
-// watchdogThread mirrors System's: a worker whose beat does not
-// advance across an interval is counted as stalled.
-func (s *TieredSystem) watchdogThread() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.watchdogInterval)
-	defer tick.Stop()
-	var lastSample, lastMigrate uint64
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			if cur := s.sampleBeats.Value(); cur == lastSample {
-				s.sampleStalls.Inc()
-			} else {
-				lastSample = cur
-			}
-			if cur := s.migrateBeats.Value(); cur == lastMigrate {
-				s.migrateStalls.Inc()
-			} else {
-				lastMigrate = cur
-			}
-		}
 	}
 }

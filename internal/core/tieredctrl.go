@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
 
 	"artmem/internal/memsim"
 	"artmem/internal/telemetry"
@@ -100,8 +99,7 @@ func (s *TieredSystem) TiersStatus() TiersReport {
 // thresholds) are visible through /tiers rather than the two-tier
 // pseudo-file endpoints, which assume a single agent.
 func (s *TieredSystem) ControlHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", healthzHandler(s))
+	mux := s.controlMux()
 	mux.HandleFunc("GET /tiers", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.TiersStatus())
@@ -114,31 +112,15 @@ func (s *TieredSystem) ControlHandler() http.Handler {
 		h := s.Health()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
-			VirtualNs         int64   `json:"virtual_ns"`
-			FastAccesses      uint64  `json:"fast_accesses"`
-			SlowAccesses      uint64  `json:"slow_accesses"`
-			CacheHits         uint64  `json:"cache_hits"`
-			DRAMRatio         float64 `json:"dram_ratio"`
-			Migrations        uint64  `json:"migrations"`
-			Promotions        uint64  `json:"promotions"`
-			Demotions         uint64  `json:"demotions"`
-			MigratedBytes     uint64  `json:"migrated_bytes"`
-			ShadowDiscards    uint64  `json:"shadow_discards"`
-			ShadowInvalidates uint64  `json:"shadow_invalidates"`
-			ShadowReclaims    uint64  `json:"shadow_reclaims"`
-			Degraded          bool    `json:"degraded"`
-			WatchdogStalls    uint64  `json:"watchdog_stalls"`
-			Panics            uint64  `json:"panics"`
+			machineStats
+			ShadowDiscards    uint64 `json:"shadow_discards"`
+			ShadowInvalidates uint64 `json:"shadow_invalidates"`
+			ShadowReclaims    uint64 `json:"shadow_reclaims"`
+			Degraded          bool   `json:"degraded"`
+			WatchdogStalls    uint64 `json:"watchdog_stalls"`
+			Panics            uint64 `json:"panics"`
 		}{
-			VirtualNs:         now,
-			FastAccesses:      c.FastAccesses,
-			SlowAccesses:      c.SlowAccesses,
-			CacheHits:         c.CacheHits,
-			DRAMRatio:         c.DRAMRatio(),
-			Migrations:        c.Migrations,
-			Promotions:        c.Promotions,
-			Demotions:         c.Demotions,
-			MigratedBytes:     c.MigratedBytes,
+			machineStats:      newMachineStats(now, c),
 			ShadowDiscards:    c.ShadowDiscards,
 			ShadowInvalidates: c.ShadowInvalidates,
 			ShadowReclaims:    c.ShadowReclaims,
@@ -147,24 +129,10 @@ func (s *TieredSystem) ControlHandler() http.Handler {
 			Panics:            h.Panics,
 		})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Pull closures lock s.mu themselves; the handler must not hold it.
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.tel.Registry.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.tel.Registry.Snapshot())
-	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 0 // everything retained
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		n, ok := queryInt(w, r, "n", 0) // 0: everything retained
+		if !ok {
+			return
 		}
 		// Each boundary agent records into its private trace ring; the
 		// drain merges them on the shared virtual clock. Per-ring seqs

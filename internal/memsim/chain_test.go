@@ -519,12 +519,17 @@ func TestConcurrentChainShadowMigration(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			v := r.next()
 			p := PageID(v % uint64(sm.NumPages()))
-			cur := sm.TierOf(p)
-			if v&1 == 0 && cur > 0 {
-				sm.MovePage(p, cur-1)
-			} else if int(cur) < sm.Tiers()-1 {
-				sm.MovePage(p, cur+1)
-			}
+			// TierOf and MovePage are control-plane calls: per the
+			// concurrency contract they run under the page's shard lock
+			// while the writers replay.
+			sm.RunShardOf(p, func(m *Machine, lp PageID) {
+				cur := m.TierOf(lp)
+				if v&1 == 0 && cur > 0 {
+					m.MovePage(lp, cur-1)
+				} else if int(cur) < m.Tiers()-1 {
+					m.MovePage(lp, cur+1)
+				}
+			})
 		}
 		check(round)
 	}

@@ -204,11 +204,71 @@ func percentile(latNs []float64, p float64) time.Duration {
 	return time.Duration(s[i])
 }
 
-// pending tracks unresolved batch payloads for retry mode.
+// pending tracks unresolved batch payloads for retry mode. A batch's
+// resolution can overtake the return of the SendAccessBatch that sent
+// it, so a resolution for a seq not yet recorded waits in early until
+// sent records the payload.
 type pending struct {
 	mu     sync.Mutex
 	bySeq  map[uint64]payload
+	early  map[uint64]byte
 	retryq []payload
+}
+
+func newPending() *pending {
+	return &pending{bySeq: make(map[uint64]payload), early: make(map[uint64]byte)}
+}
+
+// sent records the payload of the batch sent as seq, settling it at once
+// when its resolution already arrived.
+func (p *pending) sent(seq uint64, pl payload) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if code, ok := p.early[seq]; ok {
+		delete(p.early, seq)
+		p.settle(pl, code)
+		return
+	}
+	p.bySeq[seq] = pl
+}
+
+// resolved settles batch seq with its status code, or parks the code
+// until sent records the payload.
+func (p *pending) resolved(seq uint64, code byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pl, ok := p.bySeq[seq]
+	if !ok {
+		p.early[seq] = code
+		return
+	}
+	delete(p.bySeq, seq)
+	p.settle(pl, code)
+}
+
+// settle queues a resolved payload for retransmission. Only backpressure
+// sheds retry; hard rejects (bad tenant, draining) stay shed. Give up
+// after 50 attempts so an unrecoverable overload cannot spin forever.
+// Caller holds p.mu.
+func (p *pending) settle(pl payload, code byte) {
+	if code == CodeOverloaded && pl.attempts < 50 {
+		pl.attempts++
+		p.retryq = append(p.retryq, pl)
+	}
+}
+
+// next pops the oldest payload queued for retransmission. When none is
+// queued, ok is false and inflight counts the sent batches not yet
+// resolved.
+func (p *pending) next() (pl payload, ok bool, inflight int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.retryq) == 0 {
+		return payload{}, false, len(p.bySeq)
+	}
+	pl = p.retryq[0]
+	p.retryq = p.retryq[1:]
+	return pl, true, len(p.bySeq)
 }
 
 type payload struct {
@@ -242,20 +302,8 @@ func runClient(cfg LoadConfig, spec workloads.Spec, i int) (ClientStats, error) 
 		IdleTimeout: cfg.IdleTimeout,
 	}
 	if cfg.Retry {
-		pend = &pending{bySeq: make(map[uint64]payload)}
-		ccfg.OnResolve = func(seq uint64, code byte, _ float64) {
-			pend.mu.Lock()
-			p, ok := pend.bySeq[seq]
-			delete(pend.bySeq, seq)
-			// Only backpressure sheds retry; hard rejects (bad tenant,
-			// draining) stay shed. Give up after 50 attempts so an
-			// unrecoverable overload cannot spin forever.
-			if ok && code == CodeOverloaded && p.attempts < 50 {
-				p.attempts++
-				pend.retryq = append(pend.retryq, p)
-			}
-			pend.mu.Unlock()
-		}
+		pend = newPending()
+		ccfg.OnResolve = func(seq uint64, code byte, _ float64) { pend.resolved(seq, code) }
 	}
 	cl, err := Dial(cfg.Addr, ccfg)
 	if err != nil {
@@ -277,9 +325,7 @@ func runClient(cfg LoadConfig, spec workloads.Spec, i int) (ClientStats, error) 
 			return err
 		}
 		if pend != nil {
-			pend.mu.Lock()
-			pend.bySeq[seq] = payload{addrs: addrs, writes: writes, attempts: attempts}
-			pend.mu.Unlock()
+			pend.sent(seq, payload{addrs: addrs, writes: writes, attempts: attempts})
 		}
 		return nil
 	}
@@ -288,10 +334,8 @@ func runClient(cfg LoadConfig, spec workloads.Spec, i int) (ClientStats, error) 
 			return nil
 		}
 		for {
-			pend.mu.Lock()
-			if len(pend.retryq) == 0 {
-				inflight := len(pend.bySeq)
-				pend.mu.Unlock()
+			p, ok, inflight := pend.next()
+			if !ok {
 				if !final || inflight == 0 {
 					return nil
 				}
@@ -300,9 +344,6 @@ func runClient(cfg LoadConfig, spec workloads.Spec, i int) (ClientStats, error) 
 				time.Sleep(time.Millisecond)
 				continue
 			}
-			p := pend.retryq[0]
-			pend.retryq = pend.retryq[1:]
-			pend.mu.Unlock()
 			if err := send(p.addrs, p.writes, p.attempts); err != nil {
 				return err
 			}

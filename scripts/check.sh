@@ -15,12 +15,16 @@
 #                      shape tests in internal/exp take >10min under the
 #                      ~15x race slowdown and have no concurrency of
 #                      their own; the plain pass above covers them.
-#   5. make loadtest   serving smoke: artload drives an in-process
+#   5. retry stress    the load generator's retry mode 50 times under
+#                      the race detector: an ack that overtakes its
+#                      send's return once left the final retry drain
+#                      waiting forever, and only repetition shows it.
+#   6. make loadtest   serving smoke: artload drives an in-process
 #                      loopback server with 8 concurrent clients and a
 #                      fixed seed, failing on any lost batch — the
 #                      zero-loss serving contract, end to end over a
 #                      real TCP socket.
-#   6. exp tiers       N-tier chain smoke: the tier-crossover experiment
+#   7. exp tiers       N-tier chain smoke: the tier-crossover experiment
 #                      at quick scale through the sched cache, so the
 #                      chain machine + per-boundary agents + shadow-copy
 #                      accounting run end to end on every gate.
@@ -40,6 +44,9 @@ go test -shuffle=on ./...
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
+
+echo "== retry stress (go test -race -count=50 -run TestServeRetryDeliversAll)"
+go test -race -count=50 -run 'TestServeRetryDeliversAll' ./internal/serve
 
 echo "== make loadtest (serving smoke)"
 make loadtest
