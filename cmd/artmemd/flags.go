@@ -1,0 +1,66 @@
+package main
+
+import (
+	"fmt"
+	"slices"
+)
+
+// Daemon modes, named after the flag that selects them. The single-agent
+// mode is the default and has no flag.
+const (
+	modeSingle  = ""
+	modeTenants = "tenants"
+	modeTiers   = "tiers"
+)
+
+// daemonMode names the mode main dispatches to: -tenants wins over
+// -tiers, and neither selects the single-agent mode.
+func daemonMode(tenants, tiers string) string {
+	switch {
+	case tenants != "":
+		return modeTenants
+	case tiers != "":
+		return modeTiers
+	}
+	return modeSingle
+}
+
+// flagModes lists the modes that read each mode-specific flag. Flags
+// not listed (-listen, -div, -accesses, -shutdown-timeout, -version)
+// apply in every mode.
+var flagModes = map[string][]string{
+	"workload":            {modeSingle, modeTiers},
+	"ratio":               {modeSingle, modeTenants},
+	"checkpoint":          {modeSingle},
+	"checkpoint-interval": {modeSingle},
+	"pagetrace":           {modeSingle},
+	"serve":               {modeSingle, modeTenants},
+	"spans":               {modeSingle, modeTenants},
+	"tenants":             {modeTenants},
+	"arbiter":             {modeTenants},
+	"capacity":            {modeTenants},
+	"tiers":               {modeTiers},
+	"nonexclusive":        {modeTiers},
+	"boundary-budget":     {modeTiers},
+}
+
+// checkModeFlags rejects a set flag that mode never reads, so an
+// operator who asked for, say, checkpointing under -tenants hears about
+// it instead of silently getting none. set holds the names of the flags
+// given on the command line.
+func checkModeFlags(mode string, set []string) error {
+	for _, name := range set {
+		modes, ok := flagModes[name]
+		if !ok || slices.Contains(modes, mode) {
+			continue
+		}
+		if mode == modeSingle {
+			return fmt.Errorf("flag -%s has no effect without -%s", name, modes[0])
+		}
+		return fmt.Errorf("flag -%s has no effect with -%s", name, mode)
+	}
+	if slices.Contains(set, "spans") && !slices.Contains(set, "serve") {
+		return fmt.Errorf("flag -spans has no effect without -serve")
+	}
+	return nil
+}

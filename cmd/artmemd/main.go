@@ -99,6 +99,13 @@ func main() {
 		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
+	mode := daemonMode(*tenants, *tiers)
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModeFlags(mode, set); err != nil {
+		fmt.Fprintln(os.Stderr, "artmemd:", err)
+		os.Exit(2)
+	}
 
 	build := telemetry.ReadBuildInfo()
 	if *version {
@@ -111,11 +118,11 @@ func main() {
 	if _, err := fmt.Sscanf(*ratio, "%d:%d", &fast, &slow); err != nil {
 		fatal(fmt.Errorf("bad -ratio %q: %v", *ratio, err))
 	}
-	if *tenants != "" {
+	switch mode {
+	case modeTenants:
 		multiMain(*tenants, *arbiter, prof, fast, slow, *capacity, *listen, *serveAddr, *spanRate, *drain, build)
 		return
-	}
-	if *tiers != "" {
+	case modeTiers:
 		tieredMain(*tiers, *nonExcl, *bndBudget, *name, prof, *listen, *drain, build)
 		return
 	}

@@ -27,14 +27,12 @@
 // thresholds, fixed migration number), DisableSorting (conservative
 // status-preserving insertion), and LatencyReward (§6.3.4).
 //
-// Two runtimes wrap the agent for online use. System runs one agent
-// against a plain memsim.Machine with real sampling/migration/watchdog
-// goroutines (the §4.4 ksampled/kmigrated architecture). ShardedSystem
-// (sharded.go, DESIGN.md §12) runs one agent per shard of a
-// memsim.ShardedMachine and periodically rebalances fast-tier capacity
-// between shards from observed demand, so concurrent AccessBatch
-// callers scale across cores while each agent's control loop stays the
-// single-threaded algorithm above.
+// Three runtimes wrap the agent for online use, all on one control
+// loop (loop.go). System runs one agent against a plain memsim.Machine
+// with real sampling/migration/watchdog goroutines (the §4.4
+// ksampled/kmigrated architecture). MultiSystem runs one agent per
+// tenant (per memcg) over a shared machine, and TieredSystem
+// (DESIGN.md §13) runs one agent per boundary of an N-tier chain.
 package core
 
 import (

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-
-	"artmem/internal/memsim"
 )
 
 // lifecycleCase is one online runtime under the shared lifecycle tests:
@@ -40,9 +38,6 @@ func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
 		pol(&multiCfg.Tenants[i].Policy)
 	}
 	multi := NewMultiSystem(multiCfg)
-	shCfg := testShardedConfig(2)
-	pol(&shCfg.Policy)
-	sh := NewShardedSystem(shCfg)
 	tiCfg := testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)
 	pol(&tiCfg.Policy)
 	ti := NewTieredSystem(tiCfg)
@@ -74,21 +69,6 @@ func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
 			},
 			degrade: func() { underLock(&multi.mu)(func() { multi.agents[1].degraded = true }) },
 			block:   underLock(&multi.mu),
-		},
-		{
-			// ShardedSystem has no control handler of its own; its loop's
-			// shared routes are the whole /healthz surface.
-			name: "ShardedSystem", controlLoop: sh.controlLoop, handler: sh.controlMux(),
-			drive: func() {
-				for p := uint64(0); p < 64; p++ {
-					sh.Access(p*ps, false)
-				}
-			},
-			degrade: func() {
-				sh.sm.RunShard(1, func(*memsim.Machine) { sh.agents[1].degraded = true })
-			},
-			// Both passes visit shard 0 first, so holding its lock stalls them.
-			block: func(f func()) { sh.sm.RunShard(0, func(*memsim.Machine) { f() }) },
 		},
 		{
 			name: "TieredSystem", controlLoop: ti.controlLoop, handler: ti.ControlHandler(),

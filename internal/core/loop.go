@@ -15,16 +15,14 @@ import (
 // loopConfig is what a runtime hands its control loop: the per-runtime
 // parts of an otherwise shared lifecycle.
 type loopConfig struct {
-	// prefix names the liveness series ("artmem_", "artmem_sharded_",
-	// "artmem_tiered_"), so each daemon mode keeps its metric names.
+	// prefix names the liveness series ("artmem_" or "artmem_tiered_"),
+	// so each daemon mode keeps its metric names.
 	prefix string
 	tel    *telemetry.Set
 	// injector is the runtime's fault injector, nil when fault-free.
 	injector *faultinject.Injector
-	// lock, when non-nil, is held around every pass and every degraded
-	// read: the system mutex of a runtime whose passes touch one
-	// machine. nil leaves locking to the closures (ShardedSystem takes
-	// one shard lock at a time inside its passes).
+	// lock is held around every pass and every degraded read: the
+	// runtime's system mutex, which its access path also takes.
 	lock sync.Locker
 	// sample and migrate are one ksampled and one kmigrated period.
 	sample, migrate func()
@@ -35,14 +33,14 @@ type loopConfig struct {
 	samplingInterval, migrationInterval, watchdogInterval time.Duration
 }
 
-// controlLoop is the one control runtime behind System, MultiSystem,
-// ShardedSystem and TieredSystem, after the paper's §4.4 architecture:
-// one sampling thread (ksampled) and one migration thread (kmigrated)
-// serve every agent of the runtime, and a watchdog observes both. It
-// owns the lifecycle, panic recovery, busy accounting, liveness
-// counters, health and draining; each runtime embeds it and supplies
-// only its passes, its lock scope, and its degraded check. The access
-// hot path never goes through the loop.
+// controlLoop is the one control runtime behind System, MultiSystem
+// and TieredSystem, after the paper's §4.4 architecture: one sampling
+// thread (ksampled) and one migration thread (kmigrated) serve every
+// agent of the runtime, and a watchdog observes both. It owns the
+// lifecycle, panic recovery, busy accounting, liveness counters,
+// health and draining; each runtime embeds it and supplies only its
+// passes, its lock, and its degraded check. The access hot path never
+// goes through the loop.
 type controlLoop struct {
 	loopConfig
 
@@ -154,10 +152,8 @@ func (l *controlLoop) runProtected(beat *telemetry.Counter, pass func()) {
 			l.panics.Inc()
 		}
 	}()
-	if l.lock != nil {
-		l.lock.Lock()
-		defer l.lock.Unlock()
-	}
+	l.lock.Lock()
+	defer l.lock.Unlock()
 	t0 := time.Now()
 	defer func() { l.ctlBusy.Add(uint64(time.Since(t0))) }()
 	pass()
@@ -200,13 +196,9 @@ func (l *controlLoop) watchdogThread(stop <-chan struct{}) {
 // whether any agent is in the heuristic fallback. Safe to call
 // concurrently with a running runtime.
 func (l *controlLoop) Health() Health {
-	if l.lock != nil {
-		l.lock.Lock()
-	}
+	l.lock.Lock()
 	degraded := l.degraded()
-	if l.lock != nil {
-		l.lock.Unlock()
-	}
+	l.lock.Unlock()
 	return Health{
 		SamplingBeats:   l.sampleBeats.Value(),
 		MigrationBeats:  l.migrateBeats.Value(),
@@ -218,11 +210,9 @@ func (l *controlLoop) Health() Health {
 }
 
 // ControlBusyNs returns the cumulative wall nanoseconds the control
-// passes held the runtime's locks. Access batches contend with exactly
-// those locks, so differencing this counter across a batch's queue
+// passes held the runtime's lock. Access batches contend with exactly
+// that lock, so differencing this counter across a batch's queue
 // residency attributes its migration/sampling stall (serve.Config.StallNs).
-// Where the locks are per shard, it is an upper bound on any one batch's
-// exposure.
 func (l *controlLoop) ControlBusyNs() int64 { return int64(l.ctlBusy.Value()) }
 
 // SetDraining marks (or clears) the graceful-shutdown state advertised

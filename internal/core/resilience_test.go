@@ -279,7 +279,7 @@ func TestSystemHealthAndWatchdogBeats(t *testing.T) {
 		t.Run(s.name, func(t *testing.T) {
 			s.watchdogInterval = 2 * time.Millisecond
 			s.Start()
-			s.Start() // no-op
+			s.Start()      // no-op
 			defer s.Stop() // stops the threads if a check fails early
 			waitFor(t, "worker heartbeats did not advance", func() bool {
 				s.drive()

@@ -131,9 +131,6 @@ func TestLifecycleMetricNamesPinned(t *testing.T) {
 		{"MultiSystem", "artmem_", func() *telemetry.Set {
 			return NewMultiSystem(testMultiConfig()).Telemetry()
 		}},
-		{"ShardedSystem", "artmem_sharded_", func() *telemetry.Set {
-			return NewShardedSystem(testShardedConfig(2)).Telemetry()
-		}},
 		{"TieredSystem", "artmem_tiered_", func() *telemetry.Set {
 			return NewTieredSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)).Telemetry()
 		}},

@@ -13,10 +13,8 @@ import (
 
 // TieredSystem is the N-tier online runtime: one two-tier ArtMem agent
 // per tier boundary, driven by shared background threads, over a chain
-// machine decomposed through a memsim.BoundaryHub. Where ShardedSystem
-// splits the page space and gives each agent a whole private machine,
-// TieredSystem splits the tier chain and gives each agent one adjacent
-// tier pair — boundary b's agent promotes into tier b and demotes into
+// machine decomposed through a memsim.BoundaryHub. TieredSystem splits
+// the tier chain and gives each agent one adjacent tier pair — boundary b's agent promotes into tier b and demotes into
 // tier b+1, and a page descends or climbs the hierarchy through a
 // relay of boundary decisions (the same decomposition Nomad and
 // multi-tier TPP apply to N-node systems).
@@ -25,7 +23,6 @@ import (
 // access path and control passes — serializes behind one lock; the
 // per-boundary structure buys decision decomposition (each agent sees
 // a two-tier problem with its own Q-tables), not access parallelism.
-// Scale-out stays ShardedSystem's job.
 type TieredSystem struct {
 	*controlLoop
 
@@ -35,7 +32,7 @@ type TieredSystem struct {
 	agents []*ArtMem
 	// agentTels holds each boundary agent's private telemetry set:
 	// ArtMem's metric names are fixed, so per-boundary agents cannot
-	// share one registry (the ShardedSystem discipline).
+	// share one registry (the MultiSystem discipline).
 	agentTels []*telemetry.Set
 
 	budgets *tier.Budgets

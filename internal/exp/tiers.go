@@ -132,8 +132,8 @@ func (o Options) tieredCell(g *grid, workload string, cfg harness.Config) int {
 
 // tieredCellW declares one RunTiered cell: the workload replayed on
 // cfg.TierChain with one pretrained ArtMem agent per tier boundary
-// (seeds decorrelated per boundary, the way ShardedSystem offsets
-// per-shard seeds). The cache key carries the chain and shadow mode
+// (seeds decorrelated per boundary, the way core.TieredSystem gives
+// boundary b Seed+b). The cache key carries the chain and shadow mode
 // through cfg's canonical form plus a "tiered" extra separating these
 // cells from legacy Run cells; name must identify the workload the way
 // a registry name does.

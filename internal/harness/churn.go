@@ -142,11 +142,11 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 		antRow = 0
 		nRows++
 	}
-	res := Result{
-		Workload: fmt.Sprintf("churn[%d clients/cap %d]", len(spec.Clients), spec.Capacity),
-		Policy:   churnPolicyName(spec),
-		Ratio:    cfg.Ratio,
-	}
+	run := newReplayRun(m, inj, cfg,
+		fmt.Sprintf("churn[%d clients/cap %d]", len(spec.Clients), spec.Capacity),
+		churnPolicyName(spec))
+	run.check = func() error { return churnInvariants(m, plane) }
+	res := &run.res
 	res.Tenants = make([]TenantResult, nRows)
 	churn := &ChurnStats{Capacity: spec.Capacity, Clients: len(spec.Clients)}
 	res.Churn = churn
@@ -178,12 +178,6 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 			return client + 1
 		}
 		return client
-	}
-	checkErr := func() {
-		if !cfg.CheckInvariants || res.InvariantErr != nil {
-			return
-		}
-		res.InvariantErr = churnInvariants(m, plane)
 	}
 
 	admit := func(client int, c *ChurnClient) (int, error) {
@@ -217,7 +211,7 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 			Weight: c.Weight,
 			Class:  c.Class.String(),
 		}
-		checkErr()
+		run.verify()
 		return slot, nil
 	}
 
@@ -290,14 +284,14 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 		}
 		r.w.Close()
 		slotRun[slot] = nil
-		checkErr()
+		run.verify()
 	}
 
 	nextCtl := ctlInterval
 	lifecycle := func(now int64) {
 		plane.BeginPeriod()
 		plane.RetryDrains()
-		checkErr()
+		run.verify()
 		// Injected tenant crash: kill one resident client (never the
 		// antagonist, never the slot being replayed — callers pass it
 		// via victimExempt below).
@@ -419,23 +413,7 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 	if antSlot >= 0 {
 		snapshot(antSlot, antRow, true, false)
 	}
-
-	c := m.Counters()
-	res.ExecNs = m.Now()
-	res.Misses = c.FastAccesses + c.SlowAccesses
-	res.DRAMRatio = c.DRAMRatio()
-	res.Migrations = c.Migrations
-	res.Promotions = c.Promotions
-	res.Demotions = c.Demotions
-	res.MigratedBytes = c.MigratedBytes
-	res.Faults = c.Faults
-	res.MigrationFailures = c.MigrationFailures
-	res.BackgroundNs = m.BackgroundNs()
 	res.ArbiterRebalances = arb.Rebalances()
-	if inj != nil {
-		res.FaultStats = inj.Stats()
-	}
-	checkErr()
 
 	st := plane.Stats()
 	churn.Registrations = st.Registrations
@@ -445,7 +423,7 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 	churn.PagesDrained = st.PagesDrained
 	churn.PagesHandedOff = st.PagesHandedOff
 	churnClassSummary(res.Tenants, antRow, churn)
-	return res
+	return run.finish()
 }
 
 // churnInvariants checks the machine's accounting plus the tenancy

@@ -15,6 +15,7 @@ import (
 	"artmem/internal/memsim"
 	"artmem/internal/policies"
 	"artmem/internal/stats"
+	"artmem/internal/tier"
 	"artmem/internal/workloads"
 )
 
@@ -215,64 +216,9 @@ func Run(w workloads.Workload, pol policies.Policy, cfg Config) Result {
 		panic("harness: Config.TierChain requires RunTiered (one agent per boundary)")
 	}
 	m, inj, cfg := buildRunMachine(w.FootprintBytes(), pol, cfg)
-
-	interval := pol.Interval()
-	if interval <= 0 {
-		interval = policies.DefaultTickInterval
-	}
-	res := Result{Workload: w.Name(), Policy: pol.Name(), Ratio: cfg.Ratio}
-	nextTick := interval
-	var prevMig uint64
-	var prevFast, prevSlow uint64
-
-	for {
-		batch, ok := w.Next()
-		if !ok {
-			break
-		}
-		for _, acc := range batch {
-			m.Access(acc.Addr, acc.Write)
-			if m.Now() >= nextTick {
-				pol.Tick(m.Now())
-				res.Ticks++
-				nextTick = m.Now() + interval
-				if cfg.CheckInvariants && res.InvariantErr == nil {
-					res.InvariantErr = m.CheckInvariants()
-				}
-				if cfg.CollectSeries {
-					c := m.Counters()
-					res.MigrationSeries.Append(m.Now(), float64(c.Migrations-prevMig))
-					prevMig = c.Migrations
-					df := c.FastAccesses - prevFast
-					ds := c.SlowAccesses - prevSlow
-					prevFast, prevSlow = c.FastAccesses, c.SlowAccesses
-					if df+ds > 0 {
-						res.RatioSeries.Append(m.Now(), float64(df)/float64(df+ds))
-					}
-				}
-			}
-		}
-		res.Accesses += int64(len(batch))
-	}
-
-	c := m.Counters()
-	res.ExecNs = m.Now()
-	res.Misses = c.FastAccesses + c.SlowAccesses
-	res.DRAMRatio = c.DRAMRatio()
-	res.Migrations = c.Migrations
-	res.Promotions = c.Promotions
-	res.Demotions = c.Demotions
-	res.MigratedBytes = c.MigratedBytes
-	res.Faults = c.Faults
-	res.MigrationFailures = c.MigrationFailures
-	res.BackgroundNs = m.BackgroundNs()
-	if inj != nil {
-		res.FaultStats = inj.Stats()
-	}
-	if cfg.CheckInvariants && res.InvariantErr == nil {
-		res.InvariantErr = m.CheckInvariants()
-	}
-	return res
+	r := newReplayRun(m, inj, cfg, w.Name(), pol.Name())
+	r.replay(w, pol.Interval(), pol.Tick)
+	return r.finish()
 }
 
 // runMachine is the machine surface Run replays against: the policy's
@@ -300,11 +246,7 @@ func buildRunMachine(foot int64, pol policies.Policy, cfg Config) (runMachine, *
 	}
 	mcfg, cfg := machineConfig(foot, cfg)
 	sm := memsim.NewShardedMachine(mcfg, cfg.Shards)
-	var inj *faultinject.Injector
-	if cfg.Faults != nil {
-		inj = faultinject.New(*cfg.Faults)
-		sm.SetFaultInjector(inj)
-	}
+	inj := injector(cfg, sm)
 	ep.AttachEnv(sm)
 	return sm, inj, cfg
 }
@@ -316,16 +258,24 @@ func buildRunMachine(foot int64, pol policies.Policy, cfg Config) (runMachine, *
 func buildMachine(foot int64, cfg Config) (*memsim.Machine, *faultinject.Injector, Config) {
 	mcfg, cfg := machineConfig(foot, cfg)
 	m := memsim.NewMachine(mcfg)
-	var inj *faultinject.Injector
-	if cfg.Faults != nil {
-		inj = faultinject.New(*cfg.Faults)
-		m.SetFaultInjector(inj)
+	return m, injector(cfg, m), cfg
+}
+
+// injector installs cfg.Faults' injector on m before any policy
+// attaches; nil when the run is fault-free.
+func injector(cfg Config, m interface{ SetFaultInjector(memsim.FaultInjector) }) *faultinject.Injector {
+	if cfg.Faults == nil {
+		return nil
 	}
-	return m, inj, cfg
+	inj := faultinject.New(*cfg.Faults)
+	m.SetFaultInjector(inj)
+	return inj
 }
 
 // machineConfig normalizes the run Config and derives the memsim
-// configuration shared by the plain and sharded builds.
+// configuration shared by the plain, sharded and chain builds. A
+// TierChain spec is parsed and installed here; its percentage
+// capacities resolve against the footprint inside memsim.NewMachine.
 func machineConfig(foot int64, cfg Config) (memsim.Config, Config) {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 2 << 20
@@ -350,6 +300,14 @@ func machineConfig(foot int64, cfg Config) (memsim.Config, Config) {
 		mcfg.CacheLines = cfg.CacheLines
 	} else if cfg.CacheLines < 0 {
 		mcfg.CacheLines = 0
+	}
+	if cfg.TierChain != "" {
+		ch, err := tier.ParseChain(cfg.TierChain)
+		if err != nil {
+			panic(fmt.Sprintf("harness: bad tier chain %q: %v", cfg.TierChain, err))
+		}
+		mcfg.Chain = ch
+		mcfg.NonExclusive = cfg.NonExclusive
 	}
 	return mcfg, cfg
 }

@@ -136,19 +136,13 @@ func RunTenants(specs []TenantSpec, acfg tenancy.ArbiterConfig, cfg Config) Resu
 		}
 	}
 
-	res := Result{
-		Workload: tenantNames(tenants),
-		Policy:   tenantPolicyName(specs),
-		Ratio:    cfg.Ratio,
-	}
+	r := newReplayRun(m, inj, cfg, tenantNames(tenants), tenantPolicyName(specs))
 	next := make([]int64, len(specs))
 	for i := range next {
 		next[i] = intervals[i]
 	}
 	nextCtl := ctlInterval
 	perTenantAccesses := make([]int64, len(specs))
-	var prevMig uint64
-	var prevFast, prevSlow uint64
 
 	done := make([]bool, len(specs))
 	live := len(specs)
@@ -175,49 +169,19 @@ func RunTenants(specs []TenantSpec, acfg tenancy.ArbiterConfig, cfg Config) Resu
 				for j := range specs {
 					if now >= next[j] {
 						specs[j].Policy.Tick(now)
-						res.Ticks++
+						r.res.Ticks++
 						next[j] = now + intervals[j]
 					}
 				}
 				nextCtl = now + ctlInterval
-				if cfg.CheckInvariants && res.InvariantErr == nil {
-					res.InvariantErr = m.CheckInvariants()
-				}
-				if cfg.CollectSeries {
-					c := m.Counters()
-					res.MigrationSeries.Append(now, float64(c.Migrations-prevMig))
-					prevMig = c.Migrations
-					df := c.FastAccesses - prevFast
-					ds := c.SlowAccesses - prevSlow
-					prevFast, prevSlow = c.FastAccesses, c.SlowAccesses
-					if df+ds > 0 {
-						res.RatioSeries.Append(now, float64(df)/float64(df+ds))
-					}
-				}
+				r.period(now)
 			}
 		}
-		res.Accesses += int64(len(batch))
+		r.res.Accesses += int64(len(batch))
 		perTenantAccesses[i] += int64(len(batch))
 	}
 
-	c := m.Counters()
-	res.ExecNs = m.Now()
-	res.Misses = c.FastAccesses + c.SlowAccesses
-	res.DRAMRatio = c.DRAMRatio()
-	res.Migrations = c.Migrations
-	res.Promotions = c.Promotions
-	res.Demotions = c.Demotions
-	res.MigratedBytes = c.MigratedBytes
-	res.Faults = c.Faults
-	res.MigrationFailures = c.MigrationFailures
-	res.BackgroundNs = m.BackgroundNs()
-	if inj != nil {
-		res.FaultStats = inj.Stats()
-	}
-	if cfg.CheckInvariants && res.InvariantErr == nil {
-		res.InvariantErr = m.CheckInvariants()
-	}
-
+	res := r.finish()
 	arb := plane.Arbiter()
 	res.ArbiterRebalances = arb.Rebalances()
 	res.Tenants = make([]TenantResult, len(specs))

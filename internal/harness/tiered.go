@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
-	"artmem/internal/faultinject"
 	"artmem/internal/memsim"
 	"artmem/internal/policies"
 	"artmem/internal/tier"
@@ -34,26 +31,11 @@ type TierStats struct {
 	ShadowReclaims    uint64
 }
 
-// chainMachineConfig derives the memsim configuration of a TierChain
-// run: the shared defaults from machineConfig with the parsed chain
-// installed. Percentage capacities in the spec resolve against the
-// workload footprint inside memsim.NewMachine.
-func chainMachineConfig(foot int64, cfg Config) (memsim.Config, Config) {
-	mcfg, cfg := machineConfig(foot, cfg)
-	ch, err := tier.ParseChain(cfg.TierChain)
-	if err != nil {
-		panic(fmt.Sprintf("harness: bad tier chain %q: %v", cfg.TierChain, err))
-	}
-	mcfg.Chain = ch
-	mcfg.NonExclusive = cfg.NonExclusive
-	return mcfg, cfg
-}
-
 // RunTiered replays workload w on an N-tier chain machine (Config.
 // TierChain) with one two-tier policy agent per tier boundary,
 // decomposed through a memsim.BoundaryHub. mk constructs boundary b's
 // agent — callers decorrelate seeds per boundary there, the way
-// ShardedSystem offsets per-shard seeds. The replay loop, purity
+// core.TieredSystem gives boundary b Seed+b. The replay loop, purity
 // contract, and Result semantics match Run; Result.Tiers additionally
 // carries the per-tier occupancy and per-boundary migration outcome.
 //
@@ -66,13 +48,7 @@ func RunTiered(w workloads.Workload, mk func(b int) policies.EnvPolicy, cfg Conf
 	if cfg.TierChain == "" {
 		panic("harness: RunTiered requires Config.TierChain")
 	}
-	mcfg, cfg := chainMachineConfig(w.FootprintBytes(), cfg)
-	m := memsim.NewMachine(mcfg)
-	var inj *faultinject.Injector
-	if cfg.Faults != nil {
-		inj = faultinject.New(*cfg.Faults)
-		m.SetFaultInjector(inj)
-	}
+	m, inj, cfg := buildMachine(w.FootprintBytes(), cfg)
 	hub := memsim.NewBoundaryHub(m)
 	var budgets *tier.Budgets
 	if cfg.BoundaryBudget > 0 {
@@ -89,77 +65,23 @@ func RunTiered(w workloads.Workload, mk func(b int) policies.EnvPolicy, cfg Conf
 			interval = iv
 		}
 	}
-	if interval <= 0 {
-		interval = policies.DefaultTickInterval
-	}
 
-	res := Result{Workload: w.Name(), Policy: agents[0].Name(), Ratio: cfg.Ratio}
-	nextTick := interval
-	var prevMig uint64
-	var prevFast, prevSlow uint64
-
-	// tick runs one decision period: refill the per-boundary budgets,
-	// then every boundary agent in ascending order — promotions into
-	// tier b land before boundary b+1 considers what remains, so hot
-	// pages relay up the chain deterministically.
-	tick := func() {
+	r := newReplayRun(m, inj, cfg, w.Name(), agents[0].Name())
+	// One decision period: refill the per-boundary budgets, then every
+	// boundary agent in ascending order — promotions into tier b land
+	// before boundary b+1 considers what remains, so hot pages relay up
+	// the chain deterministically.
+	r.replay(w, interval, func(now int64) {
 		if budgets != nil {
 			budgets.Reset()
 		}
-		now := m.Now()
 		for _, a := range agents {
 			a.Tick(now)
 		}
-	}
-
-	for {
-		batch, ok := w.Next()
-		if !ok {
-			break
-		}
-		for _, acc := range batch {
-			m.Access(acc.Addr, acc.Write)
-			if m.Now() >= nextTick {
-				tick()
-				res.Ticks++
-				nextTick = m.Now() + interval
-				if cfg.CheckInvariants && res.InvariantErr == nil {
-					res.InvariantErr = m.CheckInvariants()
-				}
-				if cfg.CollectSeries {
-					c := m.Counters()
-					res.MigrationSeries.Append(m.Now(), float64(c.Migrations-prevMig))
-					prevMig = c.Migrations
-					df := c.FastAccesses - prevFast
-					ds := c.SlowAccesses - prevSlow
-					prevFast, prevSlow = c.FastAccesses, c.SlowAccesses
-					if df+ds > 0 {
-						res.RatioSeries.Append(m.Now(), float64(df)/float64(df+ds))
-					}
-				}
-			}
-		}
-		res.Accesses += int64(len(batch))
-	}
+	})
+	res := r.finish()
 
 	c := m.Counters()
-	res.ExecNs = m.Now()
-	res.Misses = c.FastAccesses + c.SlowAccesses
-	res.DRAMRatio = c.DRAMRatio()
-	res.Migrations = c.Migrations
-	res.Promotions = c.Promotions
-	res.Demotions = c.Demotions
-	res.MigratedBytes = c.MigratedBytes
-	res.Faults = c.Faults
-	res.MigrationFailures = c.MigrationFailures
-	res.BackgroundNs = m.BackgroundNs()
-	if inj != nil {
-		res.FaultStats = inj.Stats()
-	}
-	if cfg.CheckInvariants && res.InvariantErr == nil {
-		res.InvariantErr = m.CheckInvariants()
-	}
-
 	ts := &TierStats{
 		ShadowDiscards:    c.ShadowDiscards,
 		ShadowInvalidates: c.ShadowInvalidates,

@@ -14,8 +14,7 @@ import (
 // below to Slow. A BoundaryHub owns the machine's sampler, fault, and
 // alloc hooks and demuxes each event to the (at most two) boundaries
 // that can see its tier — the same shape tenancy's demux gives
-// per-tenant agents and ShardedSystem gives per-shard agents. See
-// DESIGN.md §13.
+// per-tenant agents. See DESIGN.md §13.
 
 // ChainEnv is the machine surface the boundary decomposition needs: a
 // policy Env plus the chain introspection accessors. *Machine and

@@ -388,8 +388,8 @@ func (sm *ShardedMachine) replayShard(s int, t TenantID, addrs []uint64, writes 
 }
 
 // RunShard runs f on shard s's inner machine under the shard lock —
-// the primitive per-shard control planes (core.ShardedSystem) build
-// their sampling and migration passes on. f must not call back into
+// the primitive a per-shard control plane builds its sampling and
+// migration passes on. f must not call back into
 // any ShardedMachine locking method.
 func (sm *ShardedMachine) RunShard(s int, f func(m *Machine)) {
 	sm.mu[s].Lock()
@@ -442,8 +442,7 @@ func (sm *ShardedMachine) BeginPeriod(n int) {
 
 // SetShardBudget is BeginPeriod's per-shard form: it sets shard s's
 // remaining borrow budget for the current period. Control planes that
-// split a machine-wide budget by demand (tenancy.SplitBudget) install
-// the shares with this.
+// split a machine-wide budget by demand install the shares with this.
 func (sm *ShardedMachine) SetShardBudget(s, n int) {
 	sm.mu[s].Lock()
 	sm.borrowLeft[s] = n

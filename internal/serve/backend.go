@@ -95,41 +95,6 @@ func (b systemBackend) FreeRange(slot int, addr, size uint64) int {
 	return b.s.FreeRange(addr, size)
 }
 
-// shardedBackend adapts the scale-out runtime: one slot, whose
-// AccessBatch is safe to call concurrently — the pairing for
-// Config.PumpsPerSlot > 1, where several pump goroutines apply the
-// slot's coalesced passes at once and the sharded machine's per-shard
-// locks let passes touching different shards proceed in parallel.
-type shardedBackend struct{ s *core.ShardedSystem }
-
-// NewShardedBackend wraps a ShardedSystem as a one-slot Backend. The
-// slot refuses traffic with ErrDraining while the runtime drains.
-func NewShardedBackend(s *core.ShardedSystem) Backend { return shardedBackend{s} }
-
-func (b shardedBackend) Slots() int { return 1 }
-
-func (b shardedBackend) Check(slot int) error {
-	if slot != 0 {
-		return fmt.Errorf("%w: slot %d on a sharded system", ErrBadTenant, slot)
-	}
-	if b.s.Draining() {
-		return fmt.Errorf("%w: sharded system draining", ErrDraining)
-	}
-	return nil
-}
-
-func (b shardedBackend) AccessBatch(slot int, addrs []uint64, writes []bool) {
-	b.s.AccessBatch(addrs, writes)
-}
-
-func (b shardedBackend) AllocRange(slot int, addr, size uint64) int {
-	return b.s.AllocRange(addr, size)
-}
-
-func (b shardedBackend) FreeRange(slot int, addr, size uint64) int {
-	return b.s.FreeRange(addr, size)
-}
-
 // multiBackend adapts the multi-tenant runtime: one slot per plane
 // slot, admission gated on the slot's lifecycle state.
 type multiBackend struct {

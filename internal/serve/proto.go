@@ -14,11 +14,7 @@
 //     request coalescing into one AccessBatch call per pump, admission
 //     control (a full queue sheds the batch with a backpressure frame
 //     instead of buffering without bound — the TierBPF posture applied
-//     at the request boundary), graceful drain on shutdown, and
-//     optional pump fan-out (Config.PumpsPerSlot > 1) that drives a
-//     concurrency-safe backend — NewShardedBackend over a
-//     core.ShardedSystem (DESIGN.md §12) — from several goroutines per
-//     slot, with alloc/free batches acting as write barriers;
+//     at the request boundary), and graceful drain on shutdown;
 //   - a client + load generator (client.go, loadgen.go): the engine
 //     behind cmd/artload, replaying internal/workloads traces from N
 //     concurrent simulated clients with a bounded in-flight window;

@@ -27,18 +27,6 @@ type Config struct {
 	// into a single backend AccessBatch pass. Whole batches only — a
 	// pump takes at least one batch regardless. 0 uses 16384.
 	CoalesceRecords int
-	// PumpsPerSlot is how many pump goroutines Start launches per
-	// tenant slot. 0 and 1 keep the single-pump discipline (and the
-	// lockstep byte-identity of the Pump path). Values > 1 fan the
-	// slot's apply work out across concurrent pumps and require a
-	// backend whose AccessBatch is safe to call concurrently for the
-	// same slot — the sharded runtime (NewShardedBackend over
-	// core.ShardedSystem); the single-Machine backends are not.
-	// Batches carrying alloc/free records are ordering barriers: they
-	// apply exclusively, after every earlier-taken batch and before
-	// every later-taken one, so access-after-free stays ordered even
-	// across pumps.
-	PumpsPerSlot int
 	// Clock supplies the stage timestamps for spans, SLO windows, and
 	// the latency metrics, in nanoseconds. Nil uses the wall clock;
 	// deterministic experiments inject the machine's virtual clock so
@@ -93,39 +81,25 @@ type batch struct {
 	decode int64
 	done   func(Result)
 	span   *spanStart
-	// barrier marks a batch carrying alloc/free records; under pump
-	// fan-out it applies exclusively (write-locked) in take order.
-	// Computed at submit only when PumpsPerSlot > 1.
-	barrier bool
 }
 
-// pumpScratch is one pump's coalescing buffers. Each pump goroutine
-// owns a private scratch (fan-out safe); the synchronous Pump path
-// uses the queue-resident one, preserving the lockstep allocation
-// behavior exactly.
+// pumpScratch is one pump's coalescing buffers. The pump goroutine
+// owns a private scratch; the synchronous Pump path uses the
+// queue-resident one, preserving the lockstep allocation behavior
+// exactly.
 type pumpScratch struct {
 	addrs  []uint64
 	writes []bool
 }
 
-// tenantQueue is one tenant's bounded ingress queue. With
-// PumpsPerSlot == 1 (the default) the queue's pump is single-threaded
-// — one pump goroutine per slot, or the lockstep driver — and sc is
-// its unshared apply scratch. With fan-out, concurrent pumps hold
-// applyMu around their backend passes: shared for access-only takes,
-// exclusive for barrier takes. applyMu is always acquired while mu is
-// still held, so apply-lock acquisition happens in take order — a
-// barrier batch applies after every batch taken before it and before
-// every batch taken after it, with no deadlock (apply never touches
-// mu).
+// tenantQueue is one tenant's bounded ingress queue. Its pump is
+// single-threaded: one pump goroutine per slot, or the lockstep driver.
 type tenantQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	batches []batch
 	records int
 	stopped bool
-
-	applyMu sync.RWMutex
 
 	// Coalescing scratch for the synchronous Pump path.
 	sc pumpScratch
@@ -148,7 +122,6 @@ type Server struct {
 	backend  Backend
 	queueCap int
 	coalesce int
-	fanout   int // pump goroutines per slot (Config.PumpsPerSlot)
 	queues   []*tenantQueue
 
 	// Latency attribution (nil-safe when disabled): the injected
@@ -203,14 +176,10 @@ func NewServer(cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().UnixNano() }
 	}
-	if cfg.PumpsPerSlot <= 0 {
-		cfg.PumpsPerSlot = 1
-	}
 	s := &Server{
 		backend:  cfg.Backend,
 		queueCap: cfg.QueueRecords,
 		coalesce: cfg.CoalesceRecords,
-		fanout:   cfg.PumpsPerSlot,
 		queues:   make([]*tenantQueue, cfg.Backend.Slots()),
 		clock:    cfg.Clock,
 		spans:    cfg.Spans,
@@ -351,17 +320,6 @@ func (s *Server) SubmitTimed(slot int, seq uint64, recs []Record, decodeNs int64
 		return fmt.Errorf("%w: %d records queued, cap %d", ErrOverloaded, queued, s.queueCap)
 	}
 	b := batch{seq: seq, recs: recs, enq: s.clock(), decode: decodeNs, done: done}
-	// Barrier classification costs one scan per record, paid only when
-	// fan-out can interleave applies; the single-pump path already
-	// orders everything.
-	if s.fanout > 1 {
-		for _, r := range recs {
-			if r.Op != OpAccess {
-				b.barrier = true
-				break
-			}
-		}
-	}
 	// Span sampling keys on a server-global accepted-batch counter; a
 	// nil journal costs exactly this one branch.
 	if s.spans != nil {
@@ -397,19 +355,14 @@ func (s *Server) QueuedRecords(slot int) int {
 // Pump is the deterministic drive point: the lockstep experiment calls
 // it directly, the per-slot pump goroutines (Start) call it in a loop.
 // At most one *external* caller may pump a given slot at a time (it
-// uses the queue-resident scratch); Start's fan-out pumps carry
-// private scratches and may run concurrently among themselves.
+// uses the queue-resident scratch); Start's pump goroutine carries a
+// private scratch.
 func (s *Server) Pump(slot int) int {
 	return s.pump(slot, &s.queues[slot].sc)
 }
 
 // pump runs one coalescing iteration for slot using sc as the apply
-// scratch. The applyMu acquisition happens while q.mu is still held,
-// which serializes apply-lock acquisition in take order: a pump that
-// took a barrier batch blocks later takes (it holds q.mu while waiting
-// for the write lock), so barriers order strictly against both earlier
-// and later takes. Deadlock-free because apply never acquires q.mu and
-// read-lock holders never wait on it either.
+// scratch.
 func (s *Server) pump(slot int, sc *pumpScratch) int {
 	q := s.queues[slot]
 	q.mu.Lock()
@@ -418,13 +371,11 @@ func (s *Server) pump(slot int, sc *pumpScratch) int {
 		return 0
 	}
 	n, recs := 0, 0
-	barrier := false
 	for _, b := range q.batches {
 		if n > 0 && recs+len(b.recs) > s.coalesce {
 			break
 		}
 		recs += len(b.recs)
-		barrier = barrier || b.barrier
 		n++
 	}
 	took := q.batches[:n:n]
@@ -433,11 +384,6 @@ func (s *Server) pump(slot int, sc *pumpScratch) int {
 		q.batches = nil
 	}
 	q.records -= recs
-	if barrier {
-		q.applyMu.Lock()
-	} else {
-		q.applyMu.RLock()
-	}
 	q.mu.Unlock()
 
 	deq := s.clock()
@@ -450,11 +396,6 @@ func (s *Server) pump(slot int, sc *pumpScratch) int {
 		applyStart = s.clock()
 		s.apply(slot, sc, took)
 		s.coalesced.Observe(float64(recs))
-	}
-	if barrier {
-		q.applyMu.Unlock()
-	} else {
-		q.applyMu.RUnlock()
 	}
 	now := s.clock()
 	var stallNow int64
@@ -554,9 +495,9 @@ func (s *Server) apply(slot int, sc *pumpScratch, took []batch) {
 	sc.addrs, sc.writes = addrs, writes
 }
 
-// Start launches PumpsPerSlot pump goroutines per tenant slot, each
-// with a private apply scratch. No-op if already started; the lockstep
-// driver simply never calls it.
+// Start launches one pump goroutine per tenant slot, each with a
+// private apply scratch. No-op if already started; the lockstep driver
+// simply never calls it.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -565,20 +506,17 @@ func (s *Server) Start() {
 	}
 	s.started = true
 	for i := range s.queues {
-		for k := 0; k < s.fanout; k++ {
-			s.pumps.Add(1)
-			go func(slot int) {
-				defer s.pumps.Done()
-				s.pumpLoop(slot, &pumpScratch{})
-			}(i)
-		}
+		s.pumps.Add(1)
+		go func(slot int) {
+			defer s.pumps.Done()
+			s.pumpLoop(slot, &pumpScratch{})
+		}(i)
 	}
 }
 
 // pumpLoop drains slot's queue until stopped AND empty — the order
 // that makes Drain airtight: stop is observed only once there is
-// nothing left to retire. Under fan-out several loops share one
-// queue; each carries its own scratch.
+// nothing left to retire.
 func (s *Server) pumpLoop(slot int, sc *pumpScratch) {
 	q := s.queues[slot]
 	for {
