@@ -41,7 +41,8 @@ loadtest:
 	@echo "loadtest ledger:" && cat loadtest_results/ledger.json
 
 # Documentation gate: every package and exported identifier needs a doc
-# comment, and every relative link in *.md must resolve (cmd/docscheck).
+# comment, and every relative link in *.md, #fragment included, must
+# resolve (cmd/docscheck).
 docs-check:
 	go run ./cmd/docscheck
 

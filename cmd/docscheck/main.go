@@ -3,8 +3,9 @@
 // any exported top-level identifier — function, method on an exported
 // type, type, constant, or variable — lacks a doc comment, or when a
 // Markdown file contains a relative link to a path that does not
-// exist. Findings print one per line as file:line: message, so editors
-// and CI logs can jump straight to them.
+// exist or to a #fragment that names no heading of the target
+// Markdown file. Findings print one per line as file:line: message,
+// so editors and CI logs can jump straight to them.
 //
 // The walk skips test files (Example functions double as documentation
 // there), generated output directories, and absolute/external links.
@@ -21,6 +22,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 func main() {
@@ -211,9 +213,11 @@ func checkGenDecl(fset *token.FileSet, d *ast.GenDecl, report func(token.Pos, st
 var mdLink = regexp.MustCompile(`\]\(([^()\s]+?)(?:\s+"[^"]*")?\)`)
 
 // checkMarkdown reports relative links in *.md files whose targets do
-// not exist on disk.
+// not exist on disk, or whose #fragment names no heading of a Markdown
+// target (a bare #fragment targets the linking file itself).
 func checkMarkdown(root string) []string {
 	var findings []string
+	anchors := map[string]map[string]bool{} // per target file, parsed once
 	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -238,16 +242,25 @@ func checkMarkdown(root string) []string {
 				if !relativeLink(target) {
 					continue
 				}
-				if frag := strings.IndexByte(target, '#'); frag >= 0 {
-					target = target[:frag]
+				target, frag, _ := strings.Cut(target, "#")
+				resolved := path
+				if target != "" {
+					resolved = filepath.Join(filepath.Dir(path), target)
+					if _, err := os.Stat(resolved); err != nil {
+						findings = append(findings,
+							fmt.Sprintf("%s:%d: dead link %s", path, i+1, m[1]))
+						continue
+					}
 				}
-				if target == "" {
-					continue // pure fragment, same file
+				if frag == "" || !strings.HasSuffix(resolved, ".md") {
+					continue
 				}
-				resolved := filepath.Join(filepath.Dir(path), target)
-				if _, err := os.Stat(resolved); err != nil {
+				if anchors[resolved] == nil {
+					anchors[resolved] = headingAnchors(resolved)
+				}
+				if !anchors[resolved][frag] {
 					findings = append(findings,
-						fmt.Sprintf("%s:%d: dead link %s", path, i+1, m[1]))
+						fmt.Sprintf("%s:%d: dead anchor %s", path, i+1, m[1]))
 				}
 			}
 		}
@@ -257,10 +270,62 @@ func checkMarkdown(root string) []string {
 }
 
 // relativeLink reports whether a link target is a repo-relative path
-// (as opposed to an external URL, an anchor, or an absolute path).
+// or a same-file #fragment (as opposed to an external URL or an
+// absolute path).
 func relativeLink(target string) bool {
 	return !strings.Contains(target, "://") &&
 		!strings.HasPrefix(target, "mailto:") &&
-		!strings.HasPrefix(target, "#") &&
 		!strings.HasPrefix(target, "/")
+}
+
+// atxHeading matches a Markdown ATX heading and captures its text
+// without the optional closing #s.
+var atxHeading = regexp.MustCompile(`^#{1,6}\s+(.*?)(?:\s+#+)?\s*$`)
+
+// headingAnchors returns the set of anchors GitHub generates for the
+// headings of Markdown file path, skipping fenced code blocks. A
+// repeated slug gets -1, -2, ... suffixes, as on GitHub. An unreadable
+// file yields an empty set, so every fragment into it is reported.
+func headingAnchors(path string) map[string]bool {
+	set := map[string]bool{}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return set
+	}
+	seen := map[string]int{}
+	fenced := false
+	for _, line := range strings.Split(string(data), "\n") {
+		trimmed := strings.TrimSpace(line)
+		if strings.HasPrefix(trimmed, "```") || strings.HasPrefix(trimmed, "~~~") {
+			fenced = !fenced
+			continue
+		}
+		m := atxHeading.FindStringSubmatch(line)
+		if fenced || m == nil {
+			continue
+		}
+		slug := headingSlug(m[1])
+		if n := seen[slug]; n > 0 {
+			set[fmt.Sprintf("%s-%d", slug, n)] = true
+		} else {
+			set[slug] = true
+		}
+		seen[slug]++
+	}
+	return set
+}
+
+// headingSlug applies GitHub's anchor rule to heading text: lowercase,
+// drop punctuation other than '-' and '_', and turn each space into '-'.
+func headingSlug(text string) string {
+	var b strings.Builder
+	for _, r := range strings.ToLower(text) {
+		switch {
+		case r == ' ':
+			b.WriteByte('-')
+		case r == '-' || r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) || unicode.IsMark(r):
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }

@@ -11,9 +11,10 @@ import (
 // ShardScale is the sharded-machine validation study (DESIGN.md §12).
 // It is not a paper figure: it pins the scale-out substrate's two
 // contracts before anything is built on it. Fidelity — how far the
-// simulated outcome drifts as the machine is split into independently
-// locked shards (per-shard LRU, PEBS, clock; capacity moving only
-// through cross-shard transfer transactions) — and determinism: the
+// simulated outcome drifts as the machine is split into shards (each
+// with its own page state, capacity split, cache slice and clock, and
+// capacity never leaving its shard; one policy — one LRU set, one PEBS
+// sampler, one agent — spans them all) — and determinism: the
 // one-shard machine must reproduce the unsharded seed simulator bit
 // for bit, and every cell must render identically at any scheduler
 // worker count (the parallel-replay test runs this experiment at 1 and
@@ -22,7 +23,7 @@ func ShardScale() Experiment {
 	return Experiment{
 		ID:    "shardscale",
 		Title: "Shard-scale study: fidelity and determinism of the sharded machine",
-		Paper: "not in the paper — validates the concurrent-machine substrate: 1 shard reproduces the seed exactly; drift stays bounded as shards grow",
+		Paper: "not in the paper — validates the sharded-machine substrate: 1 shard reproduces the seed exactly; drift stays bounded as shards grow",
 		Run: func(o Options) []textplot.Table {
 			shardCounts := []int{0, 1, 2, 4, 8}
 			if o.Quick {

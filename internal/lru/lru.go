@@ -12,11 +12,10 @@
 // The lists are intrusive: per-page link storage is allocated once, each
 // page is on at most one list, and all operations are O(1).
 //
-// Lists are single-threaded and shard-local: every shard of a
-// memsim.ShardedMachine (DESIGN.md §12) owns an independent set of the
-// four lists covering only that shard's pages, protected by the shard
-// lock. Nothing here locks; cross-shard migration re-inserts the page
-// into the destination shard's lists under the two-shard transaction.
+// Lists are single-threaded; nothing here locks. On a
+// memsim.ShardedMachine (DESIGN.md §12) the policy attaches once
+// through the Env facade, so one set of the four lists covers every
+// shard's pages by global page ID.
 package lru
 
 import (

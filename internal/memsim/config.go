@@ -20,13 +20,12 @@
 //   - a migration engine that charges transfer time to tier bandwidth and
 //     a configurable interference fraction to application time.
 //
-// Machine itself is single-threaded. For a concurrent access hot path,
-// ShardedMachine (sharded.go, DESIGN.md §12) splits one logical machine
-// by page-hash into N independently locked shards — each a full Machine
-// with its own page state, LRU lists, sampler hook and virtual clock —
-// behind the same Machine/Env surface, with an epoch-based transactional
-// protocol for cross-shard capacity transfer. One shard delegates
-// verbatim, so N=1 reproduces Machine byte for byte.
+// Machine is single-threaded. ShardedMachine (sharded.go, DESIGN.md §12)
+// splits one logical machine by page-hash into N shards — each a full
+// Machine with its own page state, capacity split, cache slice, hooks
+// and virtual clock — behind the same Env surface. It is single-threaded
+// too, and pages and capacity never leave their shard. One shard
+// delegates verbatim, so N=1 reproduces Machine byte for byte.
 //
 // The simulation is deterministic: identical configurations and access
 // streams produce identical virtual timings and counters.

@@ -2,7 +2,6 @@ package memsim
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -17,80 +16,9 @@ func benchShardCfg() Config {
 // benchBatch is one pre-generated access batch replayed per iteration.
 const benchBatch = 1 << 16
 
-// BenchmarkAccessParallelPumps is the aggregate-throughput benchmark
-// the sharding tentpole targets: G goroutines, each owning a fixed
-// subset of shards and replaying that subset's pre-split sub-batches —
-// the serving-frontend shape, where per-shard pumps arrive with their
-// traffic already partitioned. The timed region contains no serial
-// section, so throughput scales with min(G, shards, cores); the
-// per-op metric is ns per *aggregate* access. Run on a multi-core
-// host, gs=8 vs gs=1 is the ISSUE 9 ≥4x acceptance measurement (CI
-// executes it once under -race as a smoke test; single-core hosts
-// serialize the goroutines and show flat numbers).
-func BenchmarkAccessParallelPumps(b *testing.B) {
-	cfg := benchShardCfg()
-	for _, shards := range []int{8, 16} {
-		for _, gs := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("shards=%d/gs=%d", shards, gs), func(b *testing.B) {
-				sm := NewShardedMachine(cfg, shards)
-				addrs, writes := stream(11, benchBatch, uint64(cfg.FootprintBytes))
-				sc := sm.split(addrs, writes)
-				defer sm.putSplit(sc)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					wg.Add(gs)
-					for g := 0; g < gs; g++ {
-						go func(g int) {
-							defer wg.Done()
-							for s := g; s < shards; s += gs {
-								if len(sc.addrs[s]) == 0 {
-									continue
-								}
-								sm.replayShard(s, NoTenant, sc.addrs[s], sc.writes[s])
-							}
-						}(g)
-					}
-					wg.Wait()
-				}
-				b.StopTimer()
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / benchBatch
-				b.ReportMetric(perOp, "ns/access")
-			})
-		}
-	}
-}
-
-// BenchmarkAccessParallelSplit measures the full AccessBatchParallel
-// path — per-call batch splitting plus parallel replay — the cost a
-// caller pays when traffic arrives unpartitioned. The split loop is
-// serial, so this family bounds the Amdahl overhead the pre-split
-// pump path avoids.
-func BenchmarkAccessParallelSplit(b *testing.B) {
-	cfg := benchShardCfg()
-	for _, shards := range []int{1, 8} {
-		for _, gs := range []int{1, 8} {
-			b.Run(fmt.Sprintf("shards=%d/gs=%d", shards, gs), func(b *testing.B) {
-				sm := NewShardedMachine(cfg, shards)
-				addrs, writes := stream(11, benchBatch, uint64(cfg.FootprintBytes))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sm.AccessBatchParallel(addrs, writes, gs)
-				}
-				b.StopTimer()
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / benchBatch
-				b.ReportMetric(perOp, "ns/access")
-			})
-		}
-	}
-}
-
-// BenchmarkAccessShardedSerial pins the single-goroutine sharding tax:
-// the same batch through a bare Machine, a one-shard machine (lock,
-// no translation), and an 8-shard machine (lock + translation) — the
-// cost sharding adds when concurrency is off.
+// BenchmarkAccessShardedSerial pins the sharding tax: the same batch
+// through a bare Machine, a one-shard machine (no translation), and an
+// 8-shard machine (page routing and address translation).
 func BenchmarkAccessShardedSerial(b *testing.B) {
 	cfg := benchShardCfg()
 	addrs, writes := stream(11, benchBatch, uint64(cfg.FootprintBytes))
@@ -111,7 +39,9 @@ func BenchmarkAccessShardedSerial(b *testing.B) {
 			sm := NewShardedMachine(cfg, shards)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sm.AccessBatch(addrs, writes)
+				for j, a := range addrs {
+					sm.Access(a, writes[j])
+				}
 			}
 			b.StopTimer()
 			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / benchBatch

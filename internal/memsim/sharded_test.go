@@ -3,7 +3,6 @@ package memsim
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -54,8 +53,8 @@ func TestShardedOneShardByteIdentical(t *testing.T) {
 	addrs, writes := stream(1, 200_000, uint64(cfg.FootprintBytes))
 	for i, a := range addrs {
 		m.Access(a, writes[i])
+		sm.Access(a, writes[i])
 	}
-	sm.AccessBatch(addrs, writes)
 	// A deterministic migration stream through the facade.
 	for p := PageID(0); int(p) < m.NumPages(); p += 3 {
 		em := m.MovePage(p, Slow)
@@ -78,36 +77,6 @@ func TestShardedOneShardByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedAggregatesIndependentOfGoroutines pins the determinism
-// law AccessBatchParallel rests on: whole-shard goroutine ownership
-// keeps each shard's sub-stream in batch order, so the aggregate
-// counters are identical for every goroutine count — and identical to
-// the serial AccessBatch split.
-func TestShardedAggregatesIndependentOfGoroutines(t *testing.T) {
-	cfg := testShardCfg()
-	addrs, writes := stream(7, 150_000, uint64(cfg.FootprintBytes))
-
-	run := func(gs int) (Counters, int64) {
-		sm := NewShardedMachine(cfg, 8)
-		if gs == 0 {
-			sm.AccessBatch(addrs, writes)
-		} else {
-			sm.AccessBatchParallel(addrs, writes, gs)
-		}
-		return sm.Counters(), sm.Now()
-	}
-	wantC, wantNow := run(0)
-	for _, gs := range []int{1, 2, 3, 8, 16} {
-		c, now := run(gs)
-		if c != wantC {
-			t.Errorf("gs=%d: counters diverge from serial:\nserial:   %+v\nparallel: %+v", gs, wantC, c)
-		}
-		if now != wantNow {
-			t.Errorf("gs=%d: makespan clock %d != serial %d", gs, now, wantNow)
-		}
-	}
-}
-
 // TestShardedRouting covers the page-space bijection: every global
 // page maps to exactly one (shard, local) pair and back, and per-page
 // state set through the facade reads back through it.
@@ -116,8 +85,8 @@ func TestShardedRouting(t *testing.T) {
 	sm := NewShardedMachine(cfg, 4)
 	seen := map[[2]int]bool{}
 	for p := PageID(0); int(p) < sm.NumPages(); p++ {
-		s, lp := sm.ShardOf(p), sm.LocalPage(p)
-		if sm.GlobalPage(s, lp) != p {
+		s, lp := sm.shardOf(p), p>>sm.log2
+		if lp<<sm.log2|PageID(s) != p {
 			t.Fatalf("page %d: round trip via (%d,%d) failed", p, s, lp)
 		}
 		key := [2]int{s, int(lp)}
@@ -125,9 +94,9 @@ func TestShardedRouting(t *testing.T) {
 			t.Fatalf("page %d: (shard,local) collision at %v", p, key)
 		}
 		seen[key] = true
-		if int(lp) >= sm.Shard(s).NumPages() {
+		if int(lp) >= sm.shards[s].NumPages() {
 			t.Fatalf("page %d: local %d out of range for shard %d (%d pages)",
-				p, lp, s, sm.Shard(s).NumPages())
+				p, lp, s, sm.shards[s].NumPages())
 		}
 	}
 	// Per-page bits route: poison + accessed bits set through the facade.
@@ -144,94 +113,37 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
-// TestShardedCapacityTransfer exercises the epoch-based cross-shard
-// protocol: a transfer conserves machine-wide capacity, bumps both
-// epochs, spends the recipient's budget, refuses to strand resident
-// pages, and refuses once the budget runs dry.
-func TestShardedCapacityTransfer(t *testing.T) {
-	cfg := testShardCfg()
-	sm := NewShardedMachine(cfg, 4)
-	totalFast := sm.CapacityPages(Fast)
-
-	sm.BeginPeriod(3)
-	if err := sm.TransferCapacity(1, 0, Fast, 2); err != nil {
-		t.Fatalf("transfer: %v", err)
-	}
-	if got := sm.ShardEpoch(0); got != 1 {
-		t.Errorf("shard 0 epoch = %d, want 1", got)
-	}
-	if got := sm.ShardEpoch(1); got != 1 {
-		t.Errorf("shard 1 epoch = %d, want 1", got)
-	}
-	if sm.CapacityPages(Fast) != totalFast {
-		t.Errorf("capacity not conserved: %d != %d", sm.CapacityPages(Fast), totalFast)
-	}
-	if err := sm.TransferCapacity(1, 0, Fast, 2); !errors.Is(err, ErrBorrowBudget) {
-		t.Errorf("over-budget transfer: got %v, want ErrBorrowBudget", err)
-	}
-	if err := sm.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-
-	// Fill shard 2's fast tier, then try to take its capacity away: the
-	// shrink must refuse rather than strand resident pages.
-	m2 := sm.Shard(2)
-	for lp := PageID(0); int(lp) < m2.NumPages() && m2.FreePages(Fast) > 0; lp++ {
-		m2.Access(uint64(lp)*uint64(cfg.PageSize), false)
-	}
-	sm.BeginPeriod(1000)
-	if err := sm.TransferCapacity(2, 3, Fast, 1); !errors.Is(err, ErrTierFull) {
-		t.Errorf("stranding transfer: got %v, want ErrTierFull", err)
-	}
-	if err := sm.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-// failNext fails the next n MovePage attempts — the rollback trigger.
-type failNext struct{ n int }
-
-func (f *failNext) FailMigration(int64) bool {
-	if f.n > 0 {
-		f.n--
-		return true
-	}
-	return false
-}
-func (f *failNext) BandwidthFactor(int64) float64 { return 1 }
-
-// TestShardedBorrowMovePage covers the borrowed-migration transaction:
-// commit moves the page and conserves capacity; a mid-transaction
-// migration failure rolls the borrowed capacity back to the donor and
-// spends no budget.
-func TestShardedBorrowMovePage(t *testing.T) {
+// TestShardedMovePageHomeShardFull pins the fidelity cost the
+// shardscale experiment measures: capacity never leaves its shard, so
+// promoting a page whose home shard's fast tier is full fails with
+// ErrTierFull even though FreePages shows room on another shard.
+func TestShardedMovePageHomeShardFull(t *testing.T) {
 	cfg := testShardCfg()
 	sm := NewShardedMachine(cfg, 4)
 	// Touch every page: fast tiers fill, the rest overflows to slow.
 	for p := 0; p < sm.NumPages(); p++ {
 		sm.Access(uint64(p)*uint64(cfg.PageSize), false)
 	}
-	// Free one fast page on shard 3 only: every other shard's fast tier
-	// stays full, so promoting a shard-0 page must borrow from shard 3.
-	m3 := sm.Shard(3)
-	var freed bool
-	for lp := PageID(0); int(lp) < m3.NumPages(); lp++ {
-		if m3.TierOf(lp) == Fast {
-			if err := m3.FreePage(lp); err != nil {
+	// Free one fast page on shard 3 only.
+	freed := false
+	for p := PageID(0); int(p) < sm.NumPages() && !freed; p++ {
+		if sm.shardOf(p) == 3 && sm.TierOf(p) == Fast {
+			if err := sm.FreePage(p); err != nil {
 				t.Fatal(err)
 			}
 			freed = true
-			break
 		}
 	}
 	if !freed {
 		t.Fatal("no fast page on shard 3 to free")
 	}
+	if sm.FreePages(Fast) != 1 {
+		t.Fatalf("FreePages(Fast) = %d, want 1", sm.FreePages(Fast))
+	}
 
-	// A slow page on shard 0.
-	var victim PageID = NoPage
+	victim := NoPage
 	for p := PageID(0); int(p) < sm.NumPages(); p++ {
-		if sm.ShardOf(p) == 0 && sm.TierOf(p) == Slow {
+		if sm.shardOf(p) == 0 && sm.TierOf(p) == Slow {
 			victim = p
 			break
 		}
@@ -240,67 +152,22 @@ func TestShardedBorrowMovePage(t *testing.T) {
 		t.Fatal("no slow page on shard 0")
 	}
 	if err := sm.MovePage(victim, Fast); !errors.Is(err, ErrTierFull) {
-		t.Fatalf("local promote should be tier-full, got %v", err)
-	}
-
-	sm.BeginPeriod(5)
-	epochBefore := sm.ShardEpoch(0)
-
-	// Rollback path first: the injector fails the move after capacity
-	// transferred; the transaction must restore the donor's capacity.
-	sm.SetFaultInjector(&failNext{n: 1})
-	if err := sm.BorrowMovePage(victim, Fast); !errors.Is(err, ErrMigrationBusy) {
-		t.Fatalf("injected borrow failure: got %v, want ErrMigrationBusy", err)
-	}
-	if err := sm.CheckInvariants(); err != nil {
-		t.Errorf("after rollback: %v", err)
+		t.Fatalf("promotion into a full home shard: got %v, want ErrTierFull", err)
 	}
 	if sm.TierOf(victim) != Slow {
-		t.Error("rollback left the page migrated")
-	}
-	if sm.ShardEpoch(0) != epochBefore {
-		t.Error("failed borrow bumped the epoch")
-	}
-
-	// Commit path.
-	if err := sm.BorrowMovePage(victim, Fast); err != nil {
-		t.Fatalf("borrow: %v", err)
-	}
-	if sm.TierOf(victim) != Fast {
-		t.Error("borrowed promotion did not move the page")
-	}
-	if sm.ShardEpoch(0) != epochBefore+1 || sm.ShardEpoch(3) == 0 {
-		t.Error("committed borrow did not bump both epochs")
+		t.Error("failed promotion moved the page")
 	}
 	if err := sm.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-
-	// Every fast tier is full again: a borrow for another slow page on
-	// shard 0 finds no donor.
-	var second PageID = NoPage
-	for p := victim + 1; int(p) < sm.NumPages(); p++ {
-		if sm.ShardOf(p) == 0 && sm.TierOf(p) == Slow {
-			second = p
-			break
-		}
-	}
-	if second == NoPage {
-		t.Fatal("no second slow page on shard 0")
-	}
-	if err := sm.BorrowMovePage(second, Fast); !errors.Is(err, ErrNoDonor) {
-		t.Errorf("donor-less borrow: got %v, want ErrNoDonor", err)
-	}
 }
 
-// TestConcurrentShardedAccessAndMigration is the cross-shard migration
-// property test (ISSUE 9 satellite): several goroutines drive tenant
-// access batches while another performs borrowed migrations and
-// capacity transfers, and after every epoch-advancing round a Quiesce
-// barrier asserts CheckInvariants (per-shard recounts, capacity
-// conservation) plus the per-tenant RSS and quota sums. Run under
-// -race by make check and the CI parallel smoke step.
-func TestConcurrentShardedAccessAndMigration(t *testing.T) {
+// TestShardedTenantAccessAndMigration is the sharded migration
+// property test: tenant access batches interleave with facade
+// promotions and demotions, and after every round CheckInvariants
+// (per-shard recounts, capacity conservation) plus the per-tenant RSS
+// and quota sums must hold.
+func TestShardedTenantAccessAndMigration(t *testing.T) {
 	cfg := testShardCfg()
 	const (
 		shards  = 8
@@ -315,83 +182,80 @@ func TestConcurrentShardedAccessAndMigration(t *testing.T) {
 		quota[i] = sm.CapacityPages(Fast) / (tenants + 1)
 		sm.SetFastQuota(TenantID(i), quota[i])
 	}
-	sm.BeginPeriod(sm.NumPages())
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ten := TenantID(w % tenants)
-			addrs, writes := stream(uint64(w)+100, 2000, uint64(cfg.FootprintBytes))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					sm.AccessBatchTenant(ten, addrs, writes)
-				}
-			}
-		}(w)
+	type batch struct {
+		addrs  []uint64
+		writes []bool
+	}
+	batches := make([]batch, writers)
+	for w := range batches {
+		batches[w].addrs, batches[w].writes = stream(uint64(w)+100, 2000, uint64(cfg.FootprintBytes))
 	}
 
 	check := func(round int) {
-		sm.Quiesce(func() {
-			if err := sm.CheckInvariants(); err != nil {
-				t.Errorf("round %d: %v", round, err)
-			}
-			var sum [NumTiers]int
-			for ten := 0; ten < tenants; ten++ {
-				for tier := 0; tier < NumTiers; tier++ {
-					sum[tier] += sm.TenantUsedPages(TenantID(ten), TierID(tier))
-				}
-				if used := sm.TenantUsedPages(TenantID(ten), Fast); used > quota[ten] {
-					t.Errorf("round %d: tenant %d fast RSS %d over quota %d",
-						round, ten, used, quota[ten])
-				}
-			}
+		if err := sm.CheckInvariants(); err != nil {
+			t.Errorf("round %d: %v", round, err)
+		}
+		var sum [NumTiers]int
+		for ten := 0; ten < tenants; ten++ {
 			for tier := 0; tier < NumTiers; tier++ {
-				if sum[tier] != sm.UsedPages(TierID(tier)) {
-					t.Errorf("round %d: tenant %s RSS sums to %d, machine has %d",
-						round, TierID(tier), sum[tier], sm.UsedPages(TierID(tier)))
-				}
+				sum[tier] += sm.TenantUsedPages(TenantID(ten), TierID(tier))
 			}
-		})
+			if used := sm.TenantUsedPages(TenantID(ten), Fast); used > quota[ten] {
+				t.Errorf("round %d: tenant %d fast RSS %d over quota %d",
+					round, ten, used, quota[ten])
+			}
+		}
+		for tier := 0; tier < NumTiers; tier++ {
+			if sum[tier] != sm.UsedPages(TierID(tier)) {
+				t.Errorf("round %d: tenant %s RSS sums to %d, machine has %d",
+					round, TierID(tier), sum[tier], sm.UsedPages(TierID(tier)))
+			}
+		}
 	}
 
 	r := lcg(42)
 	for round := 0; round < rounds; round++ {
+		for w, b := range batches {
+			sm.SetCurrentTenant(TenantID(w % tenants))
+			for i, a := range b.addrs {
+				sm.Access(a, b.writes[i])
+			}
+		}
 		for i := 0; i < 20; i++ {
 			v := r.next()
 			p := PageID(v % uint64(sm.NumPages()))
 			if v&1 == 0 {
-				sm.BorrowMovePage(p, Fast)
+				sm.MovePage(p, Fast)
 			} else {
-				sm.BorrowMovePage(p, Slow)
+				sm.MovePage(p, Slow)
 			}
-		}
-		from, to := int(r.next()%shards), int(r.next()%shards)
-		if from != to {
-			sm.TransferCapacity(from, to, Fast, 1)
 		}
 		check(round)
 	}
-	close(stop)
-	wg.Wait()
-	check(rounds)
 }
 
 // TestShardedConstructionPanics pins the constructor's contract.
 func TestShardedConstructionPanics(t *testing.T) {
-	for _, n := range []int{0, -1, 3, 6} {
+	tinySlow := testShardCfg()
+	tinySlow.Slow.CapacityPages = 3 // a zero share would mean "unbounded"
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		n    int
+	}{
+		{"zero shards", testShardCfg(), 0},
+		{"negative shards", testShardCfg(), -1},
+		{"three shards", testShardCfg(), 3},
+		{"six shards", testShardCfg(), 6},
+		{"slow tier smaller than shard count", tinySlow, 4},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("nshards=%d did not panic", n)
+					t.Errorf("%s: nshards=%d did not panic", c.name, c.n)
 				}
 			}()
-			NewShardedMachine(testShardCfg(), n)
+			NewShardedMachine(c.cfg, c.n)
 		}()
 	}
 }
@@ -409,7 +273,7 @@ func TestShardedCapacitySplit(t *testing.T) {
 		}
 		pages := 0
 		for s := 0; s < n; s++ {
-			pages += sm.Shard(s).NumPages()
+			pages += sm.shards[s].NumPages()
 		}
 		if pages != whole.NumPages() {
 			t.Errorf("n=%d: shard pages sum to %d, want %d", n, pages, whole.NumPages())
@@ -433,7 +297,9 @@ func TestShardedEnvFacade(t *testing.T) {
 	sm.SetSampler(samplerFunc(func(p PageID, tier TierID, w bool, now int64) { got[p] = true }))
 
 	addrs, writes := stream(3, 50_000, uint64(cfg.FootprintBytes))
-	sm.AccessBatch(addrs, writes)
+	for i, a := range addrs {
+		sm.Access(a, writes[i])
+	}
 
 	if len(allocd) == 0 || len(got) == 0 {
 		t.Fatalf("hooks did not fire: %d allocs, %d sampled", len(allocd), len(got))
@@ -461,7 +327,9 @@ func (f samplerFunc) OnMiss(p PageID, t TierID, w bool, now int64) { f(p, t, w, 
 func ExampleShardedMachine() {
 	cfg := DefaultConfig(1<<20, 1<<19, 4096)
 	sm := NewShardedMachine(cfg, 4)
-	sm.AccessBatch([]uint64{0, 4096, 8192}, []bool{false, true, false})
-	fmt.Println(sm.NumShards(), sm.UsedPages(Fast))
-	// Output: 4 3
+	sm.Access(0, false)
+	sm.Access(4096, true)
+	sm.Access(8192, false)
+	fmt.Println(sm.NumPages(), sm.UsedPages(Fast))
+	// Output: 256 3
 }

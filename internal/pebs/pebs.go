@@ -16,10 +16,9 @@
 // situation ArtMem's extra "no events" state exists for.
 //
 // A Sampler is single-threaded and attaches to exactly one machine. On
-// a memsim.ShardedMachine (DESIGN.md §12) each shard gets its own
-// Sampler instance observing only that shard's misses under the shard
-// lock — the sampled-ratio signal each per-shard agent consumes is
-// local by construction, with no cross-shard ring contention.
+// a memsim.ShardedMachine (DESIGN.md §12) one Sampler observes every
+// shard's misses, translated to global page IDs, so the one agent on
+// top sees the machine-wide sampled ratio.
 package pebs
 
 import (
