@@ -122,7 +122,7 @@ func NewTieredSystem(cfg TieredSystemConfig) *TieredSystem {
 // registerMachineMetrics' fast/slow pairs. Tier labels carry the chain
 // tier names (e.g. "DRAM", "CXL", "PM"); artmem_tier_index orders them
 // for dashboards that cannot assume name semantics.
-func registerChainMetrics(l lockedRegistrar, m memsim.ChainEnv) {
+func registerChainMetrics(l lockedRegistrar, m *memsim.Machine) {
 	for t := 0; t < m.Tiers(); t++ {
 		t := memsim.TierID(t)
 		lbl := telemetry.L("tier", m.TierName(t))

@@ -86,7 +86,7 @@ func All() []Experiment {
 		Fig12(), Fig13(), Fig14(), Fig15(),
 		Fig16a(), Fig16b(), Fig16c(), Fig17(), Overheads(),
 		LiblinearSampling(), PageSize(), Fairness(), Churn(),
-		ServeBench(), Latency(), ShardScale(), Tiers(),
+		ServeBench(), Latency(), Tiers(),
 	}
 }
 

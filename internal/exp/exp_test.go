@@ -14,7 +14,7 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16a", "fig16b", "fig16c", "fig17", "overheads",
 		"liblinear-sampling", "pagesize", "fairness", "churn",
-		"servebench", "latency", "shardscale", "tiers",
+		"servebench", "latency", "tiers",
 	}
 	all := All()
 	if len(all) != len(wantIDs) {

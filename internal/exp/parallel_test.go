@@ -22,11 +22,12 @@ func renderAll(e Experiment, o Options) string {
 }
 
 // TestParallelTablesByteIdenticalToSerial is the determinism criterion
-// from DESIGN.md §7: for a quick fig2+fig7 subset — plus the
-// multi-tenant fairness experiment, whose cells run RunTenants — the
-// tables rendered from a serial run and from an 8-worker run must match
-// byte for byte. Each run gets a fresh cache so both actually compute
-// their cells.
+// from DESIGN.md §7: for six experiments that between them reach every
+// harness entry point — fig2 and fig7 (Run), fairness (RunTenants),
+// churn (RunChurn), latency (the span-traced serving frontend) and
+// tiers (RunTiered) — the tables rendered from a serial run and from an
+// 8-worker run must match byte for byte. Each run gets a fresh cache so
+// both actually compute their cells.
 func TestParallelTablesByteIdenticalToSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs take a while")
@@ -36,7 +37,7 @@ func TestParallelTablesByteIdenticalToSerial(t *testing.T) {
 	// trace length, and the comparison runs every cell twice.
 	o.Profile = workloads.Profile{Div: 512, PatternAccesses: 400_000, AppAccesses: 200_000, Seed: 1}
 
-	for _, id := range []string{"fig2", "fig7", "fairness", "churn", "latency", "shardscale", "tiers"} {
+	for _, id := range []string{"fig2", "fig7", "fairness", "churn", "latency", "tiers"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)

@@ -69,16 +69,6 @@ type Config struct {
 	// reported in Result.InvariantErr. O(pages) per tick — meant for
 	// tests and chaos runs, not benchmarking.
 	CheckInvariants bool
-	// Shards selects the machine build: 0 replays on a plain
-	// memsim.Machine (the seed path), >= 1 on a memsim.ShardedMachine
-	// with that many shards, the policy attached through its Env
-	// surface (the policy must implement policies.EnvPolicy — every
-	// shipped policy does). Shards == 1 is the determinism control:
-	// the one-shard machine delegates verbatim, so its results are
-	// byte-identical to the plain path (the shardscale experiment pins
-	// this). Replay stays single-threaded and on the virtual clock, so
-	// sharded runs cache and parallelize like any other cell.
-	Shards int
 	// TierChain, when non-empty, selects an N-tier chain machine built
 	// from the spec (internal/tier.ParseChain; e.g.
 	// "DRAM:cap=12.5%/CXL:cap=25%/PM") and is consumed by RunTiered —
@@ -215,40 +205,11 @@ func Run(w workloads.Workload, pol policies.Policy, cfg Config) Result {
 	if cfg.TierChain != "" {
 		panic("harness: Config.TierChain requires RunTiered (one agent per boundary)")
 	}
-	m, inj, cfg := buildRunMachine(w.FootprintBytes(), pol, cfg)
+	m, inj, cfg := buildMachine(w.FootprintBytes(), cfg)
+	pol.Attach(m)
 	r := newReplayRun(m, inj, cfg, w.Name(), pol.Name())
 	r.replay(w, pol.Interval(), pol.Tick)
 	return r.finish()
-}
-
-// runMachine is the machine surface Run replays against: the policy's
-// Env plus the replay-side methods Env deliberately omits. Both
-// *memsim.Machine and *memsim.ShardedMachine satisfy it.
-type runMachine interface {
-	memsim.Env
-	Access(addr uint64, write bool)
-	BackgroundNs() float64
-	CheckInvariants() error
-}
-
-// buildRunMachine builds the replay machine per Config.Shards and
-// attaches the policy: the plain Machine via Attach when Shards == 0,
-// a ShardedMachine via the policy's Env surface otherwise.
-func buildRunMachine(foot int64, pol policies.Policy, cfg Config) (runMachine, *faultinject.Injector, Config) {
-	if cfg.Shards <= 0 {
-		m, inj, cfg := buildMachine(foot, cfg)
-		pol.Attach(m)
-		return m, inj, cfg
-	}
-	ep, ok := pol.(policies.EnvPolicy)
-	if !ok {
-		panic(fmt.Sprintf("harness: policy %s cannot attach to a sharded machine (no EnvPolicy surface)", pol.Name()))
-	}
-	mcfg, cfg := machineConfig(foot, cfg)
-	sm := memsim.NewShardedMachine(mcfg, cfg.Shards)
-	inj := injector(cfg, sm)
-	ep.AttachEnv(sm)
-	return sm, inj, cfg
 }
 
 // buildMachine sizes a machine from a footprint and the run Config,
@@ -258,24 +219,19 @@ func buildRunMachine(foot int64, pol policies.Policy, cfg Config) (runMachine, *
 func buildMachine(foot int64, cfg Config) (*memsim.Machine, *faultinject.Injector, Config) {
 	mcfg, cfg := machineConfig(foot, cfg)
 	m := memsim.NewMachine(mcfg)
-	return m, injector(cfg, m), cfg
-}
-
-// injector installs cfg.Faults' injector on m before any policy
-// attaches; nil when the run is fault-free.
-func injector(cfg Config, m interface{ SetFaultInjector(memsim.FaultInjector) }) *faultinject.Injector {
-	if cfg.Faults == nil {
-		return nil
+	// The injector goes on before any policy attaches.
+	var inj *faultinject.Injector
+	if cfg.Faults != nil {
+		inj = faultinject.New(*cfg.Faults)
+		m.SetFaultInjector(inj)
 	}
-	inj := faultinject.New(*cfg.Faults)
-	m.SetFaultInjector(inj)
-	return inj
+	return m, inj, cfg
 }
 
 // machineConfig normalizes the run Config and derives the memsim
-// configuration shared by the plain, sharded and chain builds. A
-// TierChain spec is parsed and installed here; its percentage
-// capacities resolve against the footprint inside memsim.NewMachine.
+// configuration shared by the plain and chain builds. A TierChain spec
+// is parsed and installed here; its percentage capacities resolve
+// against the footprint inside memsim.NewMachine.
 func machineConfig(foot int64, cfg Config) (memsim.Config, Config) {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 2 << 20

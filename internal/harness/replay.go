@@ -2,6 +2,7 @@ package harness
 
 import (
 	"artmem/internal/faultinject"
+	"artmem/internal/memsim"
 	"artmem/internal/policies"
 	"artmem/internal/workloads"
 )
@@ -13,7 +14,7 @@ import (
 // then drives the run through replay (or its own loop plus period),
 // verify, and finish.
 type replayRun struct {
-	m   runMachine
+	m   *memsim.Machine
 	inj *faultinject.Injector
 	cfg Config
 	res Result
@@ -26,7 +27,7 @@ type replayRun struct {
 }
 
 // newReplayRun starts the Result of a run labelled workload/policy on m.
-func newReplayRun(m runMachine, inj *faultinject.Injector, cfg Config, workload, policy string) *replayRun {
+func newReplayRun(m *memsim.Machine, inj *faultinject.Injector, cfg Config, workload, policy string) *replayRun {
 	return &replayRun{
 		m: m, inj: inj, cfg: cfg, check: m.CheckInvariants,
 		res: Result{Workload: workload, Policy: policy, Ratio: cfg.Ratio},

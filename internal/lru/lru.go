@@ -12,10 +12,7 @@
 // The lists are intrusive: per-page link storage is allocated once, each
 // page is on at most one list, and all operations are O(1).
 //
-// Lists are single-threaded; nothing here locks. On a
-// memsim.ShardedMachine (DESIGN.md §12) the policy attaches once
-// through the Env facade, so one set of the four lists covers every
-// shard's pages by global page ID.
+// Lists are single-threaded; nothing here locks.
 package lru
 
 import (

@@ -16,27 +16,6 @@ import (
 // that can see its tier — the same shape tenancy's demux gives
 // per-tenant agents. See DESIGN.md §13.
 
-// ChainEnv is the machine surface the boundary decomposition needs: a
-// policy Env plus the chain introspection accessors. *Machine and
-// *ShardedMachine both implement it.
-type ChainEnv interface {
-	Env
-	Tiers() int
-	NumBoundaries() int
-	TierName(TierID) string
-	TierSpecAt(TierID) TierSpec
-	TierAccesses(TierID) uint64
-	ShadowPages(TierID) int
-	BoundaryStatsAt(int) BoundaryStats
-	BackgroundNs() float64
-	AccessLatencyData() telemetry.HistogramData
-}
-
-var (
-	_ ChainEnv = (*Machine)(nil)
-	_ ChainEnv = (*ShardedMachine)(nil)
-)
-
 // ErrNotInBoundary is returned by a BoundaryView's MovePage when the
 // page does not currently reside on the source side of the boundary —
 // a sibling boundary agent moved it since the caller last saw it. It is
@@ -59,7 +38,7 @@ var ErrBoundaryBudget = fmt.Errorf("memsim: boundary migration budget exhausted:
 // The hub is as thread-safe as its machine: hooks fire on the access
 // path, so whoever serializes Access serializes the hub.
 type BoundaryHub struct {
-	m        ChainEnv
+	m        *Machine
 	nb       int
 	samplers []Sampler
 	faults   []FaultHandler
@@ -68,7 +47,7 @@ type BoundaryHub struct {
 }
 
 // NewBoundaryHub builds a hub over m and installs its demux hooks.
-func NewBoundaryHub(m ChainEnv) *BoundaryHub {
+func NewBoundaryHub(m *Machine) *BoundaryHub {
 	nb := m.NumBoundaries()
 	h := &BoundaryHub{
 		m:        m,
@@ -158,7 +137,7 @@ func (h *BoundaryHub) onAlloc(p PageID, t TierID) {
 // baselines) run on it unchanged; stale candidates that a sibling
 // boundary moved away are refused with ErrNotInBoundary.
 type BoundaryView struct {
-	m   ChainEnv
+	m   *Machine
 	hub *BoundaryHub
 	lo  TierID // the boundary's fast side; slow side is lo+1
 	cfg Config // synthesized two-tier view of the pair

@@ -15,10 +15,7 @@
 // empty when the CPU cache absorbed all accesses, which is precisely the
 // situation ArtMem's extra "no events" state exists for.
 //
-// A Sampler is single-threaded and attaches to exactly one machine. On
-// a memsim.ShardedMachine (DESIGN.md §12) one Sampler observes every
-// shard's misses, translated to global page IDs, so the one agent on
-// top sees the machine-wide sampled ratio.
+// A Sampler is single-threaded and attaches to exactly one machine.
 package pebs
 
 import (
