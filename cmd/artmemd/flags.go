@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 )
 
 // Daemon modes, named after the flag that selects them. The single-agent
@@ -63,4 +65,32 @@ func checkModeFlags(mode string, set []string) error {
 		return fmt.Errorf("flag -spans has no effect without -serve")
 	}
 	return nil
+}
+
+// maxRatioShare bounds each side of -ratio so footprint × share cannot
+// overflow int64.
+const maxRatioShare = 1 << 16
+
+// parseRatio reads -ratio's DRAM:PM split. The DRAM share must be at
+// least 1, since the fast tier needs a page; a PM share of 0 runs DRAM
+// only.
+func parseRatio(s string) (fast, slow int, err error) {
+	f, sl, ok := strings.Cut(s, ":")
+	if ok {
+		fast, err = strconv.Atoi(f)
+		if err == nil {
+			slow, err = strconv.Atoi(sl)
+		}
+	}
+	if !ok || err != nil || fast < 1 || slow < 0 || fast > maxRatioShare || slow > maxRatioShare {
+		return 0, 0, fmt.Errorf("bad -ratio %q: want DRAM:PM with 1 <= DRAM <= %d and 0 <= PM <= %d",
+			s, maxRatioShare, maxRatioShare)
+	}
+	return fast, slow, nil
+}
+
+// ratioFastBytes is the fast tier's share of foot under -ratio
+// fast:slow, at least one page.
+func ratioFastBytes(foot, pageSize int64, fast, slow int) int64 {
+	return max(foot*int64(fast)/int64(fast+slow), pageSize)
 }

@@ -55,3 +55,36 @@ func TestCheckModeFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestParseRatio pins -ratio's accepted forms: a DRAM share of at least
+// 1, a PM share of at least 0 (1:0 is DRAM only), and nothing trailing.
+func TestParseRatio(t *testing.T) {
+	for _, c := range []struct {
+		in         string
+		fast, slow int
+		ok         bool
+	}{
+		{"1:4", 1, 4, true},
+		{"1:0", 1, 0, true},
+		{"2:1", 2, 1, true},
+		{"0:0", 0, 0, false},
+		{"0:4", 0, 0, false},
+		{"1:-1", 0, 0, false},
+		{"-1:4", 0, 0, false},
+		{"1:4x", 0, 0, false},
+		{"1", 0, 0, false},
+		{"", 0, 0, false},
+		{"1:4:2", 0, 0, false},
+		{"1:100000", 0, 0, false},
+	} {
+		fast, slow, err := parseRatio(c.in)
+		if (err == nil) != c.ok || fast != c.fast || slow != c.slow {
+			t.Errorf("parseRatio(%q) = %d, %d, %v; want %d, %d, ok=%v",
+				c.in, fast, slow, err, c.fast, c.slow, c.ok)
+		}
+	}
+	// A DRAM share below one page still gives the fast tier a page.
+	if got := ratioFastBytes(8<<10, 4<<10, 1, 4); got != 4<<10 {
+		t.Errorf("ratioFastBytes(8K, 4K page, 1:4) = %d, want one page", got)
+	}
+}

@@ -103,8 +103,11 @@ func main() {
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	if err := checkModeFlags(mode, set); err != nil {
-		fmt.Fprintln(os.Stderr, "artmemd:", err)
-		os.Exit(2)
+		usageError(err)
+	}
+	fast, slow, err := parseRatio(*ratio)
+	if err != nil {
+		usageError(err)
 	}
 
 	build := telemetry.ReadBuildInfo()
@@ -114,10 +117,6 @@ func main() {
 	}
 
 	prof := workloads.Profile{Div: *div, PatternAccesses: *acc, AppAccesses: *acc, Seed: 1}
-	var fast, slow int
-	if _, err := fmt.Sscanf(*ratio, "%d:%d", &fast, &slow); err != nil {
-		fatal(fmt.Errorf("bad -ratio %q: %v", *ratio, err))
-	}
 	switch mode {
 	case modeTenants:
 		multiMain(*tenants, *arbiter, prof, fast, slow, *capacity, *listen, *serveAddr, *spanRate, *drain, build)
@@ -134,7 +133,7 @@ func main() {
 	probe := spec.New(prof)
 	foot := probe.FootprintBytes()
 	probe.Close()
-	mcfg := memsim.DefaultConfig(foot, foot*int64(fast)/int64(fast+slow), prof.PageSize())
+	mcfg := memsim.DefaultConfig(foot, ratioFastBytes(foot, prof.PageSize(), fast, slow), prof.PageSize())
 
 	sys := core.NewSystem(core.SystemConfig{
 		Machine:             mcfg,
@@ -336,6 +335,12 @@ func replay(access func(addr uint64, write bool), spec workloads.Spec, prof work
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "artmemd:", err)
 	os.Exit(1)
+}
+
+// usageError reports a bad command line and exits 2, like flag.Parse.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "artmemd:", err)
+	os.Exit(2)
 }
 
 // protect runs f, recovering and reporting a panic instead of crashing.

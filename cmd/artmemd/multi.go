@@ -90,7 +90,7 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 	}
 
 	foot := slotBytes * int64(capacity)
-	mcfg := memsim.DefaultConfig(foot, foot*int64(fast)/int64(fast+slow), prof.PageSize())
+	mcfg := memsim.DefaultConfig(foot, ratioFastBytes(foot, prof.PageSize(), fast, slow), prof.PageSize())
 	sys := core.NewMultiSystem(core.MultiSystemConfig{
 		Machine:           mcfg,
 		Tenants:           tenants,

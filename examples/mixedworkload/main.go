@@ -66,7 +66,7 @@ func main() {
 
 	fmt.Printf("tenants %s+%s: %d MB footprint, %d MB DRAM, arbiter %s\n\n",
 		names[0], names[1], foot>>20,
-		int64(mcfg.Fast.CapacityPages)*mcfg.PageSize>>20,
+		int64(mcfg.Chain[memsim.Fast].CapacityPages)*mcfg.PageSize>>20,
 		sys.Plane().Arbiter().Mode())
 	fmt.Println("wall time   tenant    accesses   hit ratio   fast pages   quota   denied")
 

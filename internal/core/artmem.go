@@ -518,19 +518,17 @@ func (a *ArtMem) reward(prev, cur int) float64 {
 		// ratio, giving the delayed adjustments seen in Figure 12.
 		fast, slow := float64(a.lastWinFast), float64(a.lastWinSlow)
 		tot := fast + slow
-		lat := 0.0
+		chain := a.m.Config().Chain
+		fastLat, slowLat := chain[memsim.Fast].LatencyNs, chain[memsim.Slow].LatencyNs
+		lat := fastLat
 		if tot > 0 {
-			cfg := a.m.Config()
-			lat = (fast*cfg.Fast.LatencyNs + slow*cfg.Slow.LatencyNs) / tot
-		} else {
-			lat = a.m.Config().Fast.LatencyNs
+			lat = (fast*fastLat + slow*slowLat) / tot
 		}
 		a.latEMA = 0.6*a.latEMA + 0.4*lat
-		cfg := a.m.Config()
 		// Map [fastLat, slowLat] onto the same 0..K scale, inverted so
 		// lower latency scores higher.
-		span := cfg.Slow.LatencyNs - cfg.Fast.LatencyNs
-		score := float64(a.cfg.K) * (cfg.Slow.LatencyNs - a.latEMA) / span
+		span := slowLat - fastLat
+		score := float64(a.cfg.K) * (slowLat - a.latEMA) / span
 		prevScore := float64(prev)
 		a.m.ChargeBackground(800) // extra collection cost (§6.3.4)
 		return score - a.cfg.Beta + lambda*(score-prevScore)

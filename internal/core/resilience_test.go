@@ -146,7 +146,7 @@ func TestMigrateStopsDemotingWhenSlowTierFull(t *testing.T) {
 	// candidate.
 	cfg := memsim.DefaultConfig(64*64*1024, 16*64*1024, 64*1024)
 	cfg.CacheLines = 0
-	cfg.Slow.CapacityPages = 48
+	cfg.Chain[memsim.Slow].CapacityPages = 48
 	m := memsim.NewMachine(cfg)
 	a := New(Config{SamplePeriod: 1, Epsilon: 0.0001})
 	a.Attach(m)

@@ -41,8 +41,8 @@ type TieredSystem struct {
 // TieredSystemConfig parameterizes a TieredSystem.
 type TieredSystemConfig struct {
 	// Machine configures the simulated memory; Machine.Chain selects
-	// the hierarchy (nil runs the legacy two-tier pair as a one-boundary
-	// chain).
+	// the hierarchy (DefaultConfig's two-tier chain runs as one
+	// boundary).
 	Machine memsim.Config
 	// Policy configures the per-boundary ArtMem agents. Boundary b's
 	// agent gets Seed+b so exploration decorrelates across boundaries

@@ -19,13 +19,15 @@ func Table2() Experiment {
 		Title: "Table 2: memory tier characteristics",
 		Paper: "fast 92ns / 81 GB/s, slow 323ns / 26 GB/s",
 		Run: func(o Options) []textplot.Table {
-			cfg := memsim.DefaultConfig(1<<30, 1<<29, 2<<20)
+			chain := memsim.DefaultConfig(1<<30, 1<<29, 2<<20).Chain
 			t := textplot.Table{
 				Title:  "Memory tier model (from paper Table 2)",
 				Header: []string{"tier", "latency (ns)", "read BW (GB/s)", "write BW (GB/s)"},
 			}
-			t.AddRow(cfg.Fast.Name, cfg.Fast.LatencyNs, cfg.Fast.ReadBWGBs, cfg.Fast.WriteBWGBs)
-			t.AddRow(cfg.Slow.Name, cfg.Slow.LatencyNs, cfg.Slow.ReadBWGBs, cfg.Slow.WriteBWGBs)
+			for i, label := range []string{"DRAM", "PM"} {
+				d := chain[i]
+				t.AddRow(label, d.LatencyNs, d.ReadBWGBs, d.WriteBWGBs)
+			}
 			return []textplot.Table{t}
 		},
 	}

@@ -135,7 +135,7 @@ func (o Options) tieredCell(g *grid, workload string, cfg harness.Config) int {
 // (seeds decorrelated per boundary, the way core.TieredSystem gives
 // boundary b Seed+b). The cache key carries the chain and shadow mode
 // through cfg's canonical form plus a "tiered" extra separating these
-// cells from legacy Run cells; name must identify the workload the way
+// cells from plain Run cells; name must identify the workload the way
 // a registry name does.
 func (o Options) tieredCellW(g *grid, name string, mkW func() workloads.Workload, cfg harness.Config) int {
 	if cfg.PageSize == 0 {

@@ -241,16 +241,14 @@ func machineConfig(foot int64, cfg Config) (memsim.Config, Config) {
 	}
 	fastBytes := cfg.Ratio.FastBytes(foot)
 	mcfg := memsim.DefaultConfig(foot, fastBytes, cfg.PageSize)
-	mcfg.Fast.CapacityPages += cfg.FastHeadroom
-	if mcfg.Fast.CapacityPages < 1 {
-		mcfg.Fast.CapacityPages = 1
-	}
+	fast, slow := &mcfg.Chain[memsim.Fast], &mcfg.Chain[memsim.Slow]
+	fast.CapacityPages = max(fast.CapacityPages+cfg.FastHeadroom, 1)
 	if cfg.SlowLatencyNs > 0 {
-		mcfg.Slow.LatencyNs = cfg.SlowLatencyNs
+		slow.LatencyNs = cfg.SlowLatencyNs
 	}
 	if cfg.SlowBWGBs > 0 {
-		mcfg.Slow.ReadBWGBs = cfg.SlowBWGBs
-		mcfg.Slow.WriteBWGBs = cfg.SlowBWGBs / 3
+		slow.ReadBWGBs = cfg.SlowBWGBs
+		slow.WriteBWGBs = cfg.SlowBWGBs / 3
 	}
 	if cfg.CacheLines > 0 {
 		mcfg.CacheLines = cfg.CacheLines

@@ -39,9 +39,9 @@ type TierStats struct {
 // contract, and Result semantics match Run; Result.Tiers additionally
 // carries the per-tier occupancy and per-boundary migration outcome.
 //
-// A two-tier chain is the compatibility control: one boundary, one
-// agent, and (for a chain carrying the default tier parameters)
-// results byte-identical to Run on the legacy machine — pinned by
+// A two-tier chain is the control: one boundary, one agent, and (for
+// a chain carrying the default tier parameters) results byte-identical
+// to Run on the default chain — pinned by
 // TestRunTieredTwoTierMatchesRun.
 func RunTiered(w workloads.Workload, mk func(b int) policies.EnvPolicy, cfg Config) Result {
 	defer w.Close()

@@ -19,15 +19,16 @@ func artmemMk(cfg core.Config) func(b int) policies.EnvPolicy {
 	}
 }
 
-// TestRunTieredTwoTierMatchesRun pins the compatibility contract at
-// the harness level: a two-tier chain carrying the default DRAM/PM
-// parameters, replayed through RunTiered's boundary decomposition,
-// produces the same Result as the legacy Run path — same virtual time,
-// same counters, same policy behaviour, bit for bit.
+// TestRunTieredTwoTierMatchesRun pins the harness-level contract: the
+// parsed "DRAM:cap=N/PM" chain, replayed through RunTiered's boundary
+// decomposition, produces the same Result as Run on the default chain
+// — same virtual time, same counters, same policy behaviour, bit for
+// bit. It holds only while tier.Preset matches memsim's Table 2
+// constants.
 func TestRunTieredTwoTierMatchesRun(t *testing.T) {
 	const pageSize = 64 * 1024
 	ratio := Ratio{Fast: 1, Slow: 1}
-	legacy := Run(smallPattern(300_000), core.New(core.Config{SamplePeriod: 1}),
+	plain := Run(smallPattern(300_000), core.New(core.Config{SamplePeriod: 1}),
 		Config{PageSize: pageSize, Ratio: ratio})
 
 	fastPages := ratio.FastBytes(8<<20) / pageSize
@@ -55,8 +56,8 @@ func TestRunTieredTwoTierMatchesRun(t *testing.T) {
 		return pinned{r.ExecNs, r.Accesses, r.Misses, r.DRAMRatio, r.Migrations,
 			r.Promotions, r.Demotions, r.MigratedBytes, r.Faults, r.Ticks, r.BackgroundNs}
 	}
-	if got, want := pin(tiered), pin(legacy); got != want {
-		t.Errorf("two-tier chain diverged from legacy run:\n got %+v\nwant %+v", got, want)
+	if got, want := pin(tiered), pin(plain); got != want {
+		t.Errorf("two-tier chain diverged from Run:\n got %+v\nwant %+v", got, want)
 	}
 	if tiered.Tiers.BoundaryPromotions[0] != tiered.Promotions {
 		t.Errorf("boundary promotions %d != machine promotions %d",
@@ -156,8 +157,8 @@ func TestRunTieredThreeTier(t *testing.T) {
 	}
 }
 
-// TestRunRejectsTierChain pins the guard: the legacy Run path refuses
-// chain configs instead of silently ignoring them.
+// TestRunRejectsTierChain pins the guard: the single-agent Run path
+// refuses chain configs instead of silently ignoring them.
 func TestRunRejectsTierChain(t *testing.T) {
 	defer func() {
 		if recover() == nil {

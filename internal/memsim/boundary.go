@@ -85,13 +85,8 @@ func (h *BoundaryHub) View(b int) *BoundaryView {
 		panic(fmt.Sprintf("memsim: boundary %d of %d", b, h.nb))
 	}
 	base := h.m.Config()
-	fast := h.m.TierSpecAt(TierID(b))
-	fast.CapacityPages = h.m.CapacityPages(TierID(b))
-	slow := h.m.TierSpecAt(TierID(b + 1))
-	slow.CapacityPages = h.m.CapacityPages(TierID(b + 1))
-	base.Chain = nil
+	base.Chain = tier.Chain{h.m.TierSpecAt(TierID(b)), h.m.TierSpecAt(TierID(b + 1))}
 	base.NonExclusive = false
-	base.Fast, base.Slow = fast, slow
 	return &BoundaryView{m: h.m, hub: h, lo: TierID(b), cfg: base}
 }
 

@@ -81,14 +81,15 @@ func TestBoundaryViewConfigAndCounters(t *testing.T) {
 	}
 	v1 := hub.View(1) // CXL|PM
 	cfg := v1.Config()
-	if cfg.Fast.LatencyNs != 180 || cfg.Slow.LatencyNs != SlowLatencyNs {
-		t.Fatalf("view config latencies %g/%g", cfg.Fast.LatencyNs, cfg.Slow.LatencyNs)
-	}
-	if cfg.Fast.CapacityPages != 4 || cfg.Slow.CapacityPages != 8 {
-		t.Fatalf("view config capacities %d/%d", cfg.Fast.CapacityPages, cfg.Slow.CapacityPages)
-	}
-	if cfg.Chain != nil || cfg.NonExclusive {
+	if len(cfg.Chain) != 2 || cfg.NonExclusive {
 		t.Fatal("view config should be a plain two-tier config")
+	}
+	fast, slow := cfg.Chain[Fast], cfg.Chain[Slow]
+	if fast.LatencyNs != 180 || slow.LatencyNs != SlowLatencyNs {
+		t.Fatalf("view config latencies %g/%g", fast.LatencyNs, slow.LatencyNs)
+	}
+	if fast.CapacityPages != 4 || slow.CapacityPages != 8 {
+		t.Fatalf("view config capacities %d/%d", fast.CapacityPages, slow.CapacityPages)
 	}
 	// Tier mapping: CXL and above are Fast, PM is Slow.
 	if v1.TierOf(m.PageOf(0)) != Fast { // DRAM page: above the boundary
@@ -204,19 +205,19 @@ func TestBoundaryBudgets(t *testing.T) {
 }
 
 func TestBoundaryViewOnLegacyMachine(t *testing.T) {
-	// A legacy two-tier machine exposes exactly one boundary whose view
-	// behaves like the machine itself.
+	// The default two-tier machine exposes exactly one boundary whose
+	// view behaves like the machine itself.
 	m := NewMachine(DefaultConfig(64*4096, 16*4096, 4096))
 	hub := NewBoundaryHub(m)
 	if hub.NumBoundaries() != 1 {
-		t.Fatalf("legacy machine boundaries %d, want 1", hub.NumBoundaries())
+		t.Fatalf("default machine boundaries %d, want 1", hub.NumBoundaries())
 	}
 	v := hub.View(0)
 	for p := 0; p < 64; p++ {
 		m.Access(uint64(p)*4096, false)
 	}
 	if v.UsedPages(Fast) != m.UsedPages(Fast) || v.UsedPages(Slow) != m.UsedPages(Slow) {
-		t.Fatal("legacy view used-pages mismatch")
+		t.Fatal("default view used-pages mismatch")
 	}
 	p := m.PageOf(40 * 4096)
 	if m.TierOf(p) != Slow {
@@ -229,6 +230,6 @@ func TestBoundaryViewOnLegacyMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := v.Counters().Promotions; got != m.Counters().Promotions {
-		t.Fatalf("legacy view promotions %d != machine %d", got, m.Counters().Promotions)
+		t.Fatalf("default view promotions %d != machine %d", got, m.Counters().Promotions)
 	}
 }

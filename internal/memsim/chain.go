@@ -1,23 +1,25 @@
 package memsim
 
-// Chain-machine introspection: per-tier and per-boundary accessors that
-// generalize the fast/slow counter pairs. They work on every machine —
-// a legacy two-tier machine reports tiers "fast" and "slow" with one
-// boundary — which is what lets telemetry, the harness, and the
-// boundary-decomposed RL runtime treat both shapes uniformly.
+import "artmem/internal/tier"
 
-// Tiers returns the number of memory tiers (2 unless Config.Chain).
+// Tier-chain introspection: per-tier and per-boundary accessors that
+// generalize the fast/slow counter pairs. The default two-tier machine
+// reports tiers "fast" and "slow" with one boundary, so telemetry, the
+// harness and the boundary-decomposed RL runtime see every machine
+// through the same accessors.
+
+// Tiers returns the number of memory tiers, len(Config.Chain).
 func (m *Machine) Tiers() int { return m.nt }
 
 // NumBoundaries returns the number of adjacent tier pairs.
 func (m *Machine) NumBoundaries() int { return m.nt - 1 }
 
-// TierName returns tier t's label: "fast"/"slow" on legacy machines,
-// the chain tier's name otherwise.
-func (m *Machine) TierName(t TierID) string { return m.labels[t] }
+// TierName returns tier t's chain name ("fast"/"slow" under
+// DefaultConfig).
+func (m *Machine) TierName(t TierID) string { return m.specs[t].Name }
 
-// TierSpecAt returns tier t's resolved spec (capacity concrete).
-func (m *Machine) TierSpecAt(t TierID) TierSpec { return m.specs[t] }
+// TierSpecAt returns tier t's resolved descriptor (capacity in pages).
+func (m *Machine) TierSpecAt(t TierID) tier.Desc { return m.specs[t] }
 
 // TierAccesses returns the number of cache-missing accesses served by
 // tier t, derived from the latency-class counters (so it costs nothing

@@ -21,34 +21,26 @@ func chainCfg(t *testing.T, spec string, footprint, pageSize int64) Config {
 	return cfg
 }
 
-// TestChainTwoTierByteIdentical pins the tentpole compatibility
-// contract: a two-tier chain carrying the seed machine's Table 2
-// numbers produces byte-identical virtual time, counters, and latency
-// distribution to the legacy Fast/Slow machine.
+// TestChainTwoTierByteIdentical pins DefaultConfig's chain to the
+// tier presets: the default fast/slow chain built from the Table 2
+// constants and the parsed "DRAM:cap=128/PM" chain produce
+// byte-identical virtual time, counters, and latency distribution, so
+// tier.Preset cannot drift from memsim's Table 2 numbers.
 func TestChainTwoTierByteIdentical(t *testing.T) {
 	const (
 		pageSize  = 4096
 		footprint = 512 * pageSize
 		fastBytes = 128 * pageSize
 	)
-	legacy := NewMachine(DefaultConfig(footprint, fastBytes, pageSize))
-
-	ccfg := DefaultConfig(footprint, fastBytes, pageSize)
-	ccfg.Chain = tier.Chain{
-		{Name: "DRAM", LatencyNs: FastLatencyNs, ReadBWGBs: FastBWGBs,
-			WriteBWGBs: FastBWGBs, CapacityPages: 128},
-		{Name: "PM", LatencyNs: SlowLatencyNs, ReadBWGBs: SlowBWGBs,
-			WriteBWGBs: SlowBWGBs / 3},
+	def := NewMachine(DefaultConfig(footprint, fastBytes, pageSize))
+	if def.Tiers() != 2 || def.TierName(Fast) != "fast" || def.TierName(Slow) != "slow" {
+		t.Fatalf("default machine shape: %d tiers, names %q/%q",
+			def.Tiers(), def.TierName(Fast), def.TierName(Slow))
 	}
-	chain := NewMachine(ccfg)
-	if chain.Tiers() != 2 || chain.TierName(0) != "DRAM" {
-		t.Fatalf("chain machine shape: %d tiers, tier0 %q", chain.Tiers(), chain.TierName(0))
+	parsed := NewMachine(chainCfg(t, "DRAM:cap=128/PM", footprint, pageSize))
+	if parsed.TierName(Fast) != "DRAM" {
+		t.Fatalf("parsed chain tier0 %q", parsed.TierName(Fast))
 	}
-
-	// The "DRAM:25%/PM" parse-level spec must also reproduce the same
-	// cost model (the preset carries the derated write figure).
-	pcfg := chainCfg(t, "DRAM:cap=128/PM", footprint, pageSize)
-	parsed := NewMachine(pcfg)
 
 	rng := uint64(42)
 	step := func(m *Machine) {
@@ -70,28 +62,27 @@ func TestChainTwoTierByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	step(legacy)
-	step(chain)
+	step(def)
 	step(parsed)
 
-	for name, m := range map[string]*Machine{"chain": chain, "parsed-chain": parsed} {
-		if got, want := m.Counters(), legacy.Counters(); got != want {
-			t.Errorf("%s counters diverge:\n got %+v\nwant %+v", name, got, want)
+	if got, want := parsed.Counters(), def.Counters(); got != want {
+		t.Errorf("counters diverge:\n got %+v\nwant %+v", got, want)
+	}
+	if got, want := parsed.Now(), def.Now(); got != want {
+		t.Errorf("clock %d != default %d", got, want)
+	}
+	if got, want := parsed.BackgroundNs(), def.BackgroundNs(); got != want {
+		t.Errorf("background %g != default %g", got, want)
+	}
+	if got, want := parsed.AccessLatencyData(), def.AccessLatencyData(); !reflect.DeepEqual(got, want) {
+		t.Errorf("latency data diverge:\n got %+v\nwant %+v", got, want)
+	}
+	for tr := TierID(0); tr < 2; tr++ {
+		if parsed.UsedPages(tr) != def.UsedPages(tr) {
+			t.Errorf("tier %d used %d != default %d", tr, parsed.UsedPages(tr), def.UsedPages(tr))
 		}
-		if got, want := m.Now(), legacy.Now(); got != want {
-			t.Errorf("%s clock %d != legacy %d", name, got, want)
-		}
-		if got, want := m.BackgroundNs(), legacy.BackgroundNs(); got != want {
-			t.Errorf("%s background %g != legacy %g", name, got, want)
-		}
-		if got, want := m.AccessLatencyData(), legacy.AccessLatencyData(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s latency data diverge:\n got %+v\nwant %+v", name, got, want)
-		}
-		for tr := TierID(0); tr < 2; tr++ {
-			if m.UsedPages(tr) != legacy.UsedPages(tr) {
-				t.Errorf("%s tier %d used %d != legacy %d", name, tr, m.UsedPages(tr), legacy.UsedPages(tr))
-			}
-		}
+	}
+	for name, m := range map[string]*Machine{"default": def, "parsed": parsed} {
 		if err := m.CheckInvariants(); err != nil {
 			t.Errorf("%s invariants: %v", name, err)
 		}

@@ -1,8 +1,9 @@
 // Package memsim implements the tiered-memory machine model that replaces
 // the paper's DRAM+Optane hardware and Linux-kernel substrate.
 //
-// A Machine simulates a two-tier memory system (a fast tier and a slow
-// capacity tier) at page granularity, with:
+// A Machine simulates an ordered chain of memory tiers (by default the
+// paper's fast DRAM tier over a slow PM capacity tier; see internal/tier)
+// at page granularity, with:
 //
 //   - a virtual clock advanced by a per-access cost model built from the
 //     paper's measured tier latencies and bandwidths (Table 2);
@@ -32,7 +33,7 @@ import (
 	"artmem/internal/tier"
 )
 
-// TierID identifies one of the two memory tiers.
+// TierID identifies a memory tier; tier 0 is the fastest.
 type TierID uint8
 
 // The two tiers of the machine. Fast is the DRAM-class tier, Slow the
@@ -58,21 +59,6 @@ type PageID uint32
 // NoPage is a sentinel PageID used by list structures.
 const NoPage PageID = ^PageID(0)
 
-// TierSpec describes the performance and capacity of one memory tier.
-type TierSpec struct {
-	Name string
-	// LatencyNs is the idle load-to-use latency of the tier in
-	// nanoseconds.
-	LatencyNs float64
-	// ReadBWGBs and WriteBWGBs are the tier's sequential read and write
-	// bandwidth in GB/s. They bound both demand accesses and migration
-	// transfer speed.
-	ReadBWGBs  float64
-	WriteBWGBs float64
-	// CapacityPages is the number of pages the tier can hold.
-	CapacityPages int
-}
-
 // The paper's measured tier characteristics (Table 2). Optane PM write
 // bandwidth is well below read bandwidth (an empirically documented
 // idiosyncrasy); the paper reports a single 26 GB/s figure, which we use
@@ -97,11 +83,6 @@ type Config struct {
 	// FootprintBytes is the size of the simulated application address
 	// space. It is rounded up to a whole number of pages.
 	FootprintBytes int64
-	// Fast and Slow describe the two tiers. Fast.CapacityPages bounds the
-	// fast tier; Slow.CapacityPages of 0 means "unbounded" (sized to fit
-	// the whole footprint).
-	Fast TierSpec
-	Slow TierSpec
 	// CacheLines is the number of 64-byte lines in the reuse-distance CPU
 	// cache model. 0 disables the cache model (every access misses).
 	CacheLines int
@@ -119,11 +100,9 @@ type Config struct {
 	// FaultCostNs is charged to application time when an armed
 	// NUMA-hint fault fires (minor fault handling on the critical path).
 	FaultCostNs float64
-	// Chain, when non-nil, replaces the Fast/Slow pair with an ordered
-	// N-tier hierarchy (DRAM/CXL/PM/NVMe chains; see internal/tier and
-	// DESIGN.md §13). Tier 0 is the fastest; the legacy Fast/Slow specs
-	// are ignored. A nil Chain keeps the seed two-tier machine, byte
-	// for byte.
+	// Chain is the ordered tier hierarchy, fastest tier first (see
+	// internal/tier and DESIGN.md §13). An unbounded last tier is sized
+	// to fit the whole footprint.
 	Chain tier.Chain
 	// NonExclusive enables Nomad-style non-exclusive migration: a
 	// promotion leaves a reclaimable shadow copy in the source tier, a
@@ -145,19 +124,21 @@ func DefaultConfig(footprint, fastBytes, pageSize int64) Config {
 	return Config{
 		PageSize:       pageSize,
 		FootprintBytes: footprint,
-		Fast: TierSpec{
-			Name:          "DRAM",
-			LatencyNs:     FastLatencyNs,
-			ReadBWGBs:     FastBWGBs,
-			WriteBWGBs:    FastBWGBs,
-			CapacityPages: fastPages,
-		},
-		Slow: TierSpec{
-			Name:       "PM",
-			LatencyNs:  SlowLatencyNs,
-			ReadBWGBs:  SlowBWGBs,
-			WriteBWGBs: SlowBWGBs / 3,
-			// CapacityPages 0: sized to fit the footprint.
+		Chain: tier.Chain{
+			{
+				Name:          "fast",
+				LatencyNs:     FastLatencyNs,
+				ReadBWGBs:     FastBWGBs,
+				WriteBWGBs:    FastBWGBs,
+				CapacityPages: fastPages,
+			},
+			{
+				Name:       "slow",
+				LatencyNs:  SlowLatencyNs,
+				ReadBWGBs:  SlowBWGBs,
+				WriteBWGBs: SlowBWGBs / 3,
+				// No capacity: sized to fit the footprint.
+			},
 		},
 		CacheLines:            1 << 18, // models a 16MB last-level cache
 		CacheHitNs:            2,
@@ -179,22 +160,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("memsim: MigrationInterference must be in [0,1], got %g",
 			c.MigrationInterference)
 	}
-	if c.Chain != nil {
-		// Chain machines take their tier model from the chain; the
-		// legacy Fast/Slow specs are ignored entirely.
-		return c.Chain.Validate()
-	}
-	if c.Fast.CapacityPages < 0 || c.Slow.CapacityPages < 0 {
-		return fmt.Errorf("memsim: negative tier capacity")
-	}
-	if c.Fast.LatencyNs <= 0 || c.Slow.LatencyNs <= 0 {
-		return fmt.Errorf("memsim: tier latencies must be positive")
-	}
-	if c.Fast.ReadBWGBs <= 0 || c.Slow.ReadBWGBs <= 0 ||
-		c.Fast.WriteBWGBs <= 0 || c.Slow.WriteBWGBs <= 0 {
-		return fmt.Errorf("memsim: tier bandwidths must be positive")
-	}
-	return nil
+	return c.Chain.Validate()
 }
 
 // NumPagesFor returns the number of pages needed to back the footprint.

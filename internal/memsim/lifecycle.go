@@ -54,7 +54,7 @@ func (m *Machine) FreePage(p PageID) error {
 			TimeNs: m.clock,
 			Page:   uint64(p),
 			Kind:   telemetry.PageKindFree,
-			Tier:   m.labels[t],
+			Tier:   m.specs[t].Name,
 		})
 	}
 	return nil

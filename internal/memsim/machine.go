@@ -93,15 +93,15 @@ func (c Counters) DRAMRatio() float64 {
 	return float64(c.FastAccesses) / float64(tot)
 }
 
-// Machine is the simulated tiered memory system: the seed's fast/slow
-// pair by default, or an arbitrary tier chain when Config.Chain is set
-// (tier 0 fastest). It is not safe for concurrent use; the online
+// Machine is the simulated tiered memory system: the tier chain of
+// Config.Chain, tier 0 fastest (the paper's fast/slow pair under
+// DefaultConfig). It is not safe for concurrent use; the online
 // runtime in internal/core serializes access to it.
 type Machine struct {
 	cfg       Config
 	pageShift uint
 	numPages  int
-	nt        int // number of tiers (2 unless Config.Chain says otherwise)
+	nt        int // number of tiers, len(Config.Chain)
 
 	clock int64 // virtual time, ns
 
@@ -112,11 +112,10 @@ type Machine struct {
 	dirty     []bool
 	poisoned  []bool // armed for a NUMA-hint fault
 
-	// Resolved per-tier specs (capacities concrete) and the tier labels
-	// used in traces and telemetry ("fast"/"slow" on legacy machines,
-	// chain names otherwise). All per-tier slices have length nt.
-	specs  []TierSpec
-	labels []string
+	// The resolved tier chain (every capacity a page count); its names
+	// label tiers in traces and telemetry. All per-tier slices have
+	// length nt.
+	specs tier.Chain
 
 	used []int // frames in use per tier: residents + shadow copies
 	cap  []int
@@ -210,36 +209,16 @@ func NewMachine(cfg Config) *Machine {
 		// Non-power-of-two page size: fall back to division in addrToPage.
 		m.pageShift = 0
 	}
-	if cfg.Chain != nil {
-		rs, err := cfg.Chain.Resolve(n)
-		if err != nil {
-			panic(err)
-		}
-		m.specs = make([]TierSpec, len(rs))
-		m.labels = make([]string, len(rs))
-		for i, r := range rs {
-			m.specs[i] = TierSpec{
-				Name:          r.Name,
-				LatencyNs:     r.LatencyNs,
-				ReadBWGBs:     r.ReadBWGBs,
-				WriteBWGBs:    r.WriteBWGBs,
-				CapacityPages: r.Pages,
-			}
-			m.labels[i] = r.Name
-		}
-	} else {
-		m.specs = []TierSpec{cfg.Fast, cfg.Slow}
-		m.labels = []string{"fast", "slow"}
+	specs, err := cfg.Chain.Resolve(n)
+	if err != nil {
+		panic(err)
 	}
-	m.nt = len(m.specs)
+	m.specs = specs
+	m.nt = len(specs)
 	m.used = make([]int, m.nt)
 	m.cap = make([]int, m.nt)
-	for t := range m.specs {
-		m.cap[t] = m.specs[t].CapacityPages
-	}
-	if m.cap[m.nt-1] == 0 {
-		// Unbounded last tier: size it so the footprint always fits.
-		m.cap[m.nt-1] = n
+	for t := range specs {
+		m.cap[t] = specs[t].CapacityPages
 	}
 	m.readCostNs = make([]float64, m.nt)
 	m.writeCostNs = make([]float64, m.nt)
@@ -541,7 +520,7 @@ func (m *Machine) allocate(p PageID) {
 			TimeNs: m.clock,
 			Page:   uint64(p),
 			Kind:   telemetry.PageKindAlloc,
-			Tier:   m.labels[t],
+			Tier:   m.specs[t].Name,
 		})
 	}
 	if m.onAlloc != nil {
@@ -551,7 +530,7 @@ func (m *Machine) allocate(p PageID) {
 		// The footprint exceeded total machine capacity; this is a
 		// harness configuration error worth failing loudly on.
 		panic(fmt.Sprintf("memsim: %s tier overflow (%d > %d pages)",
-			m.labels[last], m.used[last], m.cap[last]))
+			m.specs[last].Name, m.used[last], m.cap[last]))
 	}
 }
 
@@ -717,8 +696,8 @@ func (m *Machine) tracePageMove(p PageID, src, dst TierID, outcome string) {
 		TimeNs:  m.clock,
 		Page:    uint64(p),
 		Kind:    telemetry.PageKindMigration,
-		From:    m.labels[src],
-		To:      m.labels[dst],
+		From:    m.specs[src].Name,
+		To:      m.specs[dst].Name,
 		Outcome: outcome,
 	})
 }
@@ -776,29 +755,29 @@ func (m *Machine) CheckInvariants() error {
 				continue
 			}
 			if !m.allocated[p] {
-				return fmt.Errorf("memsim: shadow copy of unallocated page %d in %s", p, m.labels[st])
+				return fmt.Errorf("memsim: shadow copy of unallocated page %d in %s", p, m.specs[st].Name)
 			}
 			if int(m.tier[p]) >= st {
 				return fmt.Errorf("memsim: page %d resident in %s but shadowed in %s (shadow must be strictly below)",
-					p, m.labels[m.tier[p]], m.labels[st])
+					p, m.specs[m.tier[p]].Name, m.specs[st].Name)
 			}
 			shadows[st]++
 		}
 		for t := 0; t < m.nt; t++ {
 			if shadows[t] != m.sh.Count(t) {
 				return fmt.Errorf("memsim: %s shadow stack holds %d pages, recounted %d",
-					m.labels[t], m.sh.Count(t), shadows[t])
+					m.specs[t].Name, m.sh.Count(t), shadows[t])
 			}
 		}
 	}
 	for t := 0; t < m.nt; t++ {
 		if used[t]+shadows[t] != m.used[t] {
 			return fmt.Errorf("memsim: %s tier counter %d != recounted %d residents + %d shadows",
-				m.labels[t], m.used[t], used[t], shadows[t])
+				m.specs[t].Name, m.used[t], used[t], shadows[t])
 		}
 		if m.used[t] > m.cap[t] {
 			return fmt.Errorf("memsim: %s tier over capacity (%d > %d pages)",
-				m.labels[t], m.used[t], m.cap[t])
+				m.specs[t].Name, m.used[t], m.cap[t])
 		}
 	}
 	if total := m.ctr.AllocFast + m.ctr.AllocSlow - m.ctr.Freed; total != uint64(allocated) {

@@ -26,10 +26,15 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero page size", func(c *Config) { c.PageSize = 0 }},
 		{"zero footprint", func(c *Config) { c.FootprintBytes = 0 }},
-		{"negative fast capacity", func(c *Config) { c.Fast.CapacityPages = -1 }},
-		{"zero fast latency", func(c *Config) { c.Fast.LatencyNs = 0 }},
-		{"zero slow read bw", func(c *Config) { c.Slow.ReadBWGBs = 0 }},
+		{"negative fast capacity", func(c *Config) { c.Chain[Fast].CapacityPages = -1 }},
+		{"zero fast latency", func(c *Config) { c.Chain[Fast].LatencyNs = 0 }},
+		{"zero slow read bw", func(c *Config) { c.Chain[Slow].ReadBWGBs = 0 }},
 		{"interference > 1", func(c *Config) { c.MigrationInterference = 1.5 }},
+		{"no chain", func(c *Config) { c.Chain = nil }},
+		{"zero-capacity fast tier", func(c *Config) {
+			ps := c.PageSize
+			*c = DefaultConfig(64*ps, 0, ps)
+		}},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(0)

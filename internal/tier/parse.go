@@ -22,7 +22,7 @@ import (
 //
 // Examples:
 //
-//	DRAM:25%/PM                    — the seed machine's shape
+//	DRAM:25%/PM                    — the paper machine's shape
 //	DRAM:12.5%/CXL:25%/PM          — three-tier with a CXL middle
 //	hbm:lat=50,bw=400,cap=1024/DRAM
 //

@@ -7,14 +7,14 @@
 // (the same cost-model inputs as the paper's Table 2) and a capacity,
 // expressed either as an absolute page count or as a percentage of the
 // machine footprint. The last tier may be unbounded ("the rest"), like
-// the seed machine's slow tier.
+// the default machine's slow tier.
 //
 // The package is pure model + bookkeeping: it has no dependency on the
-// simulator. memsim consumes a Chain through Config.Chain and keeps its
-// legacy two-tier configuration byte-identical when Chain is nil;
-// ShadowTable implements the page bookkeeping for non-exclusive
-// (Nomad-style) migration, and Budgets meters migrations per tier
-// boundary. See DESIGN.md §13.
+// simulator. memsim builds every machine from a resolved Config.Chain,
+// whose default is the paper's two-tier DRAM/PM pair; ShadowTable
+// implements the page bookkeeping for non-exclusive (Nomad-style)
+// migration, and Budgets meters migrations per tier boundary. See
+// DESIGN.md §13.
 package tier
 
 import (
@@ -133,34 +133,27 @@ func checkName(name string) error {
 	return nil
 }
 
-// Resolved is a Desc with its capacity fixed to a concrete page count.
-// Pages==0 means unbounded (last tier only): the consumer sizes the
-// tier to hold the whole footprint.
-type Resolved struct {
-	Desc
-	Pages int
-}
-
-// Resolve fixes percentage capacities against a concrete footprint of
-// totalPages pages. Percent capacities round down but never below one
-// page. The chain must Validate.
-func (c Chain) Resolve(totalPages int) ([]Resolved, error) {
+// Resolve fixes every capacity against a concrete footprint of
+// totalPages pages: the returned chain carries page counts only.
+// Percent capacities round down but never below one page, and an
+// unbounded last tier gets totalPages, so the footprint always fits.
+// The chain must Validate.
+func (c Chain) Resolve(totalPages int) (Chain, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if totalPages <= 0 {
 		return nil, fmt.Errorf("tier: Resolve needs a positive footprint, got %d pages", totalPages)
 	}
-	out := make([]Resolved, len(c))
-	for i := range c {
-		out[i] = Resolved{Desc: c[i], Pages: c[i].CapacityPages}
-		if c[i].CapacityPct > 0 {
-			p := int(c[i].CapacityPct / 100 * float64(totalPages))
-			if p < 1 {
-				p = 1
-			}
-			out[i].Pages = p
+	out := make(Chain, len(c))
+	for i, d := range c {
+		if d.CapacityPct > 0 {
+			d.CapacityPages = max(int(d.CapacityPct/100*float64(totalPages)), 1)
+			d.CapacityPct = 0
+		} else if d.CapacityPages == 0 {
+			d.CapacityPages = totalPages
 		}
+		out[i] = d
 	}
 	return out, nil
 }
@@ -180,7 +173,7 @@ func Preset(name string) (Desc, bool) {
 	case "PM":
 		// WriteBWGBs matches memsim.DefaultConfig's derated figure
 		// exactly (26/3 in untyped-constant arithmetic = 8), so a
-		// DRAM/PM chain reproduces the seed machine's cost model
+		// DRAM/PM chain reproduces the default machine's cost model
 		// byte for byte.
 		return Desc{Name: "PM", LatencyNs: 323, ReadBWGBs: 26, WriteBWGBs: 8}, true
 	case "NVME":

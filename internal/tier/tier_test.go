@@ -27,7 +27,7 @@ func TestParseChainPresets(t *testing.T) {
 		t.Fatalf("bad PM tier: %+v", c[1])
 	}
 	if c[1].WriteBWGBs != 8 {
-		t.Fatalf("PM write bandwidth %g, want the seed machine's derated 8", c[1].WriteBWGBs)
+		t.Fatalf("PM write bandwidth %g, want the default machine's derated 8", c[1].WriteBWGBs)
 	}
 	// Preset names are case-insensitive and normalize to the preset's
 	// canonical spelling.
@@ -131,16 +131,22 @@ func TestResolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if r[0].Pages != 125 || r[1].Pages != 250 || r[2].Pages != 0 {
-		t.Fatalf("bad resolution: %d/%d/%d", r[0].Pages, r[1].Pages, r[2].Pages)
+	// The unbounded last tier resolves to the whole footprint.
+	if r[0].CapacityPages != 125 || r[1].CapacityPages != 250 || r[2].CapacityPages != 1000 {
+		t.Fatalf("bad resolution: %d/%d/%d", r[0].CapacityPages, r[1].CapacityPages, r[2].CapacityPages)
+	}
+	for _, d := range r {
+		if d.CapacityPct != 0 {
+			t.Fatalf("tier %s keeps percent capacity %g after Resolve", d.Name, d.CapacityPct)
+		}
 	}
 	// Tiny footprints round down to at least one page.
 	r, err = c.Resolve(3)
 	if err != nil {
 		t.Fatalf("Resolve(3): %v", err)
 	}
-	if r[0].Pages != 1 {
-		t.Fatalf("12.5%% of 3 pages should clamp to 1, got %d", r[0].Pages)
+	if r[0].CapacityPages != 1 {
+		t.Fatalf("12.5%% of 3 pages should clamp to 1, got %d", r[0].CapacityPages)
 	}
 	if _, err := c.Resolve(0); err == nil {
 		t.Fatal("Resolve(0) should fail")

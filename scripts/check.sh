@@ -32,6 +32,11 @@
 #   9. perfbench       vet + tests of the nested benchmark module, which
 #                      the root ./... patterns skip but which calls the
 #                      harness, core and serve APIs.
+#  10. docs-check      doc comments on every package and exported
+#                      identifier, live relative links and #fragments in
+#                      the Markdown docs, and DESIGN.md section refs
+#                      (cmd/docscheck; the same command CI's docs-check
+#                      step runs).
 #
 # Usage: scripts/check.sh  (or: make check)
 set -eu
@@ -63,5 +68,8 @@ go run ./cmd/artbench -exp tiers -quick -parallel 4 -outdir bench_results
 
 echo "== perfbench module (go vet + go test)"
 (cd perfbench && go vet ./... && go test ./...)
+
+echo "== make docs-check"
+make docs-check
 
 echo "check: all green"
