@@ -1,5 +1,5 @@
 # Tier-1 verify (fast, what CI gates on): build + test.
-# `make check` is the full gate: vet + build + test + race detector.
+# `make check` is the full gate; scripts/check.sh lists its steps.
 
 SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 

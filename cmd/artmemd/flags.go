@@ -89,6 +89,30 @@ func parseRatio(s string) (fast, slow int, err error) {
 	return fast, slow, nil
 }
 
+// checkCounts rejects out-of-range numeric flags: -div divides the
+// paper's footprint, so it must be at least 1, and -capacity,
+// -boundary-budget, -pagetrace and -spans, whose 0 means "default" or
+// "off", must not be negative.
+func checkCounts(div int64, capacity, boundaryBudget, pagetrace, spans int) error {
+	if div < 1 {
+		return fmt.Errorf("bad -div %d: want >= 1", div)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"capacity", capacity},
+		{"boundary-budget", boundaryBudget},
+		{"pagetrace", pagetrace},
+		{"spans", spans},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("bad -%s %d: want >= 0", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // ratioFastBytes is the fast tier's share of foot under -ratio
 // fast:slow, at least one page.
 func ratioFastBytes(foot, pageSize int64, fast, slow int) int64 {

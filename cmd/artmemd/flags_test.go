@@ -56,6 +56,36 @@ func TestCheckModeFlags(t *testing.T) {
 	}
 }
 
+// TestCheckCounts pins the numeric flag ranges: -div at least 1, the
+// count flags at least 0, and the first bad flag named in the error.
+func TestCheckCounts(t *testing.T) {
+	for _, c := range []struct {
+		name                               string
+		div                                int64
+		capacity, budget, pagetrace, spans int
+		want                               string // "" = accepted
+	}{
+		{"defaults", 256, 0, 0, 0, 0, ""},
+		{"all set", 1, 8, 64, 16, 4, ""},
+		{"div zero", 0, 0, 0, 0, 0, "bad -div 0: want >= 1"},
+		{"div negative", -1, 0, 0, 0, 0, "bad -div -1: want >= 1"},
+		{"capacity negative", 256, -1, 0, 0, 0, "bad -capacity -1: want >= 0"},
+		{"boundary budget negative", 256, 0, -3, 0, 0, "bad -boundary-budget -3: want >= 0"},
+		{"pagetrace negative", 256, 0, 0, -1, 0, "bad -pagetrace -1: want >= 0"},
+		{"spans negative", 256, 0, 0, 0, -1, "bad -spans -1: want >= 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := checkCounts(c.div, c.capacity, c.budget, c.pagetrace, c.spans)
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("unexpected error: %v", err)
+			case c.want != "" && (err == nil || err.Error() != c.want):
+				t.Errorf("err = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
 // TestParseRatio pins -ratio's accepted forms: a DRAM share of at least
 // 1, a PM share of at least 0 (1:0 is DRAM only), and nothing trailing.
 func TestParseRatio(t *testing.T) {

@@ -109,6 +109,9 @@ func main() {
 	if err != nil {
 		usageError(err)
 	}
+	if err := checkCounts(*div, *capacity, *bndBudget, *pagetrace, *spanRate); err != nil {
+		usageError(err)
+	}
 
 	build := telemetry.ReadBuildInfo()
 	if *version {

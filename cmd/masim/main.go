@@ -38,6 +38,11 @@ func main() {
 		verbose = flag.Bool("v", false, "print the behaviour over time")
 	)
 	flag.Parse()
+	if *div < 1 {
+		// A zero or negative divisor has no footprint to lay regions in.
+		fmt.Fprintf(os.Stderr, "masim: bad -div %d: want >= 1\n", *div)
+		os.Exit(2)
+	}
 
 	prof := workloads.Profile{Div: *div, PatternAccesses: *acc, AppAccesses: *acc, Seed: 1}
 

@@ -480,15 +480,6 @@ func (a *ArtMem) Sampler() *pebs.Sampler { return a.sampler }
 // Used by the robustness study to transplant trained tables (§6.3.6).
 func (a *ArtMem) QTables() (mig, thr *rl.Table) { return a.qMig, a.qThr }
 
-// LoadQTables copies pre-trained Q values into the agent. Must be
-// called after Attach. Returns an error on dimension mismatch.
-func (a *ArtMem) LoadQTables(mig, thr *rl.Table) error {
-	if err := a.qMig.CopyQFrom(mig); err != nil {
-		return err
-	}
-	return a.qThr.CopyQFrom(thr)
-}
-
 // observeState computes τᵢ from the sampling window (Equation 1).
 func (a *ArtMem) observeState() int {
 	fast, slow := a.sampler.WindowCounts()

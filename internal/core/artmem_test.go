@@ -319,20 +319,20 @@ func TestQTableTransplant(t *testing.T) {
 	if bm.Q(3, 4) != 0.5 {
 		t.Errorf("pretrained Q not transplanted")
 	}
-	// LoadQTables after attach also works.
-	c := New(Config{})
-	c.Attach(testMachine(16))
-	if err := c.LoadQTables(mig, thr); err != nil {
-		t.Fatal(err)
-	}
-	cm, _ := c.QTables()
-	if cm.Q(3, 4) != 0.5 {
-		t.Errorf("LoadQTables did not copy")
-	}
-	// Mismatched dimensions rejected.
+	// Mismatched dimensions are rejected at Attach.
 	other := rl.NewTable(rl.DefaultConfig(2, 2), nil)
-	if err := c.LoadQTables(other, other); err == nil {
-		t.Error("dimension mismatch accepted")
+	for name, cfg := range map[string]Config{
+		"mig": {PretrainedMig: other},
+		"thr": {PretrainedThr: other},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: dimension mismatch accepted", name)
+				}
+			}()
+			New(cfg).Attach(testMachine(16))
+		}()
 	}
 }
 

@@ -46,7 +46,7 @@ func (s *MultiSystem) registerLocked(t TenantConfig) (int, error) {
 	}
 	agent.SetTelemetry(&telemetry.Set{
 		Registry: telemetry.NewRegistry(),
-		Trace:    telemetry.NewTrace(s.traceCapacity),
+		Trace:    telemetry.NewTrace(0),
 	})
 	agent.AttachEnv(s.plane.View(slot))
 	s.agents[slot] = agent

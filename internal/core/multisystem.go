@@ -43,8 +43,6 @@ type MultiSystem struct {
 	// instead of relearning from scratch. Crashes do not checkpoint —
 	// a crashed tenant's in-memory state is lost, as in production.
 	checkpoints map[string]agentCheckpoint
-
-	traceCapacity int
 }
 
 // TenantConfig describes one tenant of a MultiSystem.
@@ -89,9 +87,6 @@ type MultiSystemConfig struct {
 	// runtime instruments itself onto; nil creates a fresh set. The
 	// per-tenant agents always get private sets.
 	Telemetry *telemetry.Set
-	// TraceCapacity bounds each tenant agent's decision-trace ring.
-	// 0 uses telemetry.DefaultTraceCap.
-	TraceCapacity int
 }
 
 // NewMultiSystem builds a multi-tenant online system. Call Start to
@@ -117,16 +112,15 @@ func NewMultiSystem(cfg MultiSystemConfig) *MultiSystem {
 	if tel == nil {
 		tel = &telemetry.Set{
 			Registry: telemetry.NewRegistry(),
-			Trace:    telemetry.NewTrace(cfg.TraceCapacity),
+			Trace:    telemetry.NewTrace(0),
 		}
 	}
 	s := &MultiSystem{
-		m:             m,
-		plane:         plane,
-		agents:        make([]*ArtMem, cfg.Capacity),
-		policies:      make([]Config, cfg.Capacity),
-		checkpoints:   make(map[string]agentCheckpoint),
-		traceCapacity: cfg.TraceCapacity,
+		m:           m,
+		plane:       plane,
+		agents:      make([]*ArtMem, cfg.Capacity),
+		policies:    make([]Config, cfg.Capacity),
+		checkpoints: make(map[string]agentCheckpoint),
 	}
 	for _, t := range cfg.Tenants {
 		if _, err := s.registerLocked(t); err != nil {

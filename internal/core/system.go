@@ -62,17 +62,11 @@ type SystemConfig struct {
 	// system instruments itself onto; nil creates a fresh set. Two
 	// Systems must not share one set (metric names would collide).
 	Telemetry *telemetry.Set
-	// TraceCapacity bounds the decision-trace ring when Telemetry is
-	// nil. 0 uses telemetry.DefaultTraceCap.
-	TraceCapacity int
 	// PageTraceSampleRate, when > 0, enables page-lifecycle tracing for
 	// roughly one page in PageTraceSampleRate (rounded up to a power of
 	// two; 1 traces every page), served over /pagetrace. 0 — the default
 	// — keeps tracing off and every lifecycle hook a one-branch no-op.
 	PageTraceSampleRate int
-	// PageTraceCapacity bounds the page-trace ring. 0 uses
-	// telemetry.DefaultPageTraceCap.
-	PageTraceCapacity int
 }
 
 // NewSystem builds an online system. Call Start to launch the
@@ -88,13 +82,13 @@ func NewSystem(cfg SystemConfig) *System {
 	if tel == nil {
 		tel = &telemetry.Set{
 			Registry: telemetry.NewRegistry(),
-			Trace:    telemetry.NewTrace(cfg.TraceCapacity),
+			Trace:    telemetry.NewTrace(0),
 		}
 	}
 	if cfg.PageTraceSampleRate > 0 && tel.PageTrace == nil {
 		// Must exist before Attach: the policy wires the lifecycle hooks
 		// into the machine, sampler, and LRU lists there.
-		tel.PageTrace = telemetry.NewPageTrace(cfg.PageTraceCapacity, cfg.PageTraceSampleRate)
+		tel.PageTrace = telemetry.NewPageTrace(0, cfg.PageTraceSampleRate)
 	}
 	pol := New(cfg.Policy)
 	pol.SetTelemetry(tel)

@@ -28,7 +28,6 @@ type TieredSystem struct {
 
 	mu     sync.Mutex
 	m      *memsim.Machine
-	hub    *memsim.BoundaryHub
 	agents []*ArtMem
 	// agentTels holds each boundary agent's private telemetry set:
 	// ArtMem's metric names are fixed, so per-boundary agents cannot
@@ -62,8 +61,8 @@ type TieredSystemConfig struct {
 	// migration path before the agents attach.
 	Faults *faultinject.Config
 	// Telemetry, when non-nil, receives the runtime's aggregate metrics;
-	// nil creates a fresh set. Per-agent metrics live on private
-	// per-boundary sets (AgentTelemetry).
+	// nil creates a fresh set. Per-agent metrics and decision traces
+	// live on private per-boundary sets; GET /trace merges the traces.
 	Telemetry *telemetry.Set
 }
 
@@ -81,7 +80,7 @@ func NewTieredSystem(cfg TieredSystemConfig) *TieredSystem {
 		tel = telemetry.NewSet()
 	}
 	hub := memsim.NewBoundaryHub(m)
-	s := &TieredSystem{m: m, hub: hub}
+	s := &TieredSystem{m: m}
 	if cfg.BoundaryBudget > 0 {
 		s.budgets = tier.NewBudgets(hub.NumBoundaries(), cfg.BoundaryBudget)
 		s.budgets.Reset()
@@ -202,18 +201,12 @@ func registerChainMetrics(l lockedRegistrar, m *memsim.Machine) {
 // only through TieredSystem methods.
 func (s *TieredSystem) Machine() *memsim.Machine { return s.m }
 
-// Hub returns the boundary hub decomposing the chain.
-func (s *TieredSystem) Hub() *memsim.BoundaryHub { return s.hub }
-
 // NumBoundaries returns the number of boundary agents.
 func (s *TieredSystem) NumBoundaries() int { return len(s.agents) }
 
 // Agent returns boundary b's ArtMem agent. After Start, interrogate it
 // only while the system is stopped.
 func (s *TieredSystem) Agent(b int) *ArtMem { return s.agents[b] }
-
-// AgentTelemetry returns boundary b's private telemetry set.
-func (s *TieredSystem) AgentTelemetry(b int) *telemetry.Set { return s.agentTels[b] }
 
 // Access performs one application access under the system lock.
 func (s *TieredSystem) Access(addr uint64, write bool) {

@@ -44,10 +44,6 @@ type ChurnSpec struct {
 	// departs or crashes: the permanent noisy neighbour every client
 	// cohort contends with.
 	Antagonist *ChurnClient
-	// ChunkAccesses is the number of accesses one scheduling turn
-	// replays per resident tenant, bounding how long any tenant runs
-	// between lifecycle events; 0 uses 512.
-	ChunkAccesses int
 	// PeriodNs overrides the control-period length (arrival pacing,
 	// crash rolls, budget refills, drain retries). 0 uses the fastest
 	// policy interval in the spec — usually far too coarse for churn,
@@ -98,6 +94,11 @@ type churnRun struct {
 	intv   int64
 }
 
+// churnChunk is the number of accesses one scheduling turn replays per
+// resident tenant, bounding how long any tenant runs between lifecycle
+// events.
+const churnChunk = 512
+
 // RunChurn replays a churn schedule: clients arrive through admission
 // control, run time-sliced against each other (and the antagonist),
 // depart through transactional reclamation, and die to injected
@@ -117,10 +118,6 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 	}
 	if spec.SlotBytes <= 0 {
 		panic("harness: RunChurn needs SlotBytes > 0")
-	}
-	chunk := spec.ChunkAccesses
-	if chunk <= 0 {
-		chunk = 512
 	}
 	defer func() {
 		for _, c := range spec.Clients {
@@ -354,7 +351,7 @@ func RunChurn(spec ChurnSpec, acfg tenancy.ArbiterConfig, cfg Config) Result {
 				}
 				r.batch, r.pos = batch, 0
 			}
-			end := r.pos + chunk
+			end := r.pos + churnChunk
 			if end > len(r.batch) {
 				end = len(r.batch)
 			}

@@ -54,9 +54,6 @@ type Config struct {
 	// CacheLines overrides the CPU cache model size; 0 keeps the
 	// default, negative disables the cache.
 	CacheLines int
-	// FastHeadroom reserves extra fast-tier pages beyond the ratio split
-	// (some experiments give the fast tier slack); expressed in pages.
-	FastHeadroom int
 	// CollectSeries enables migration/ratio time-series capture.
 	CollectSeries bool
 	// Faults, when non-nil, installs a deterministic fault injector on
@@ -80,9 +77,6 @@ type Config struct {
 	// promotion leaves a reclaimable clean copy in the source tier, so
 	// demoting an unwritten page back is a free discard.
 	NonExclusive bool
-	// BoundaryBudget caps migrations per tier boundary per policy tick
-	// on chain runs; 0 leaves boundaries unmetered.
-	BoundaryBudget int
 }
 
 // Result is the outcome of one run.
@@ -242,7 +236,7 @@ func machineConfig(foot int64, cfg Config) (memsim.Config, Config) {
 	fastBytes := cfg.Ratio.FastBytes(foot)
 	mcfg := memsim.DefaultConfig(foot, fastBytes, cfg.PageSize)
 	fast, slow := &mcfg.Chain[memsim.Fast], &mcfg.Chain[memsim.Slow]
-	fast.CapacityPages = max(fast.CapacityPages+cfg.FastHeadroom, 1)
+	fast.CapacityPages = max(fast.CapacityPages, 1)
 	if cfg.SlowLatencyNs > 0 {
 		slow.LatencyNs = cfg.SlowLatencyNs
 	}

@@ -187,15 +187,6 @@ func TestArtMemBeatsStaticOnHotSlowPattern(t *testing.T) {
 	}
 }
 
-func TestFastHeadroomExtendsCapacity(t *testing.T) {
-	// With headroom, a 0-byte fast split still leaves room for pages.
-	r := Run(smallPattern(50_000), policies.NewStatic(), Config{
-		PageSize: 64 * 1024, Ratio: Ratio{Fast: 0, Slow: 1}, FastHeadroom: 4})
-	if r.DRAMRatio == 0 {
-		t.Errorf("headroom pages unused: ratio %g", r.DRAMRatio)
-	}
-}
-
 func TestTicksMonotoneWithInterval(t *testing.T) {
 	r := Run(smallPattern(400_000), core.New(core.Config{TickInterval: 2_000_000}),
 		Config{PageSize: 64 * 1024, Ratio: Ratio{Fast: 1, Slow: 1}, CollectSeries: true})

@@ -3,7 +3,6 @@ package harness
 import (
 	"artmem/internal/memsim"
 	"artmem/internal/policies"
-	"artmem/internal/tier"
 	"artmem/internal/workloads"
 )
 
@@ -50,12 +49,6 @@ func RunTiered(w workloads.Workload, mk func(b int) policies.EnvPolicy, cfg Conf
 	}
 	m, inj, cfg := buildMachine(w.FootprintBytes(), cfg)
 	hub := memsim.NewBoundaryHub(m)
-	var budgets *tier.Budgets
-	if cfg.BoundaryBudget > 0 {
-		budgets = tier.NewBudgets(hub.NumBoundaries(), cfg.BoundaryBudget)
-		budgets.Reset()
-		hub.SetBudgets(budgets)
-	}
 	agents := make([]policies.EnvPolicy, hub.NumBoundaries())
 	var interval int64
 	for b := range agents {
@@ -67,14 +60,10 @@ func RunTiered(w workloads.Workload, mk func(b int) policies.EnvPolicy, cfg Conf
 	}
 
 	r := newReplayRun(m, inj, cfg, w.Name(), agents[0].Name())
-	// One decision period: refill the per-boundary budgets, then every
-	// boundary agent in ascending order — promotions into tier b land
-	// before boundary b+1 considers what remains, so hot pages relay up
-	// the chain deterministically.
+	// One decision period: every boundary agent in ascending order —
+	// promotions into tier b land before boundary b+1 considers what
+	// remains, so hot pages relay up the chain deterministically.
 	r.replay(w, interval, func(now int64) {
-		if budgets != nil {
-			budgets.Reset()
-		}
 		for _, a := range agents {
 			a.Tick(now)
 		}

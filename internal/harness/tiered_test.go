@@ -119,13 +119,12 @@ func TestNonExclusiveAvoidsReMigration(t *testing.T) {
 	}
 }
 
-// TestRunTieredThreeTier smoke-tests a full 3-tier replay with budgets
-// and invariant checking: the middle tier participates (it serves
+// TestRunTieredThreeTier smoke-tests a full 3-tier replay with
+// invariant checking: the middle tier participates (it serves
 // accesses and both boundaries migrate) and accounting stays clean.
 func TestRunTieredThreeTier(t *testing.T) {
 	cfg := Config{PageSize: 64 * 1024,
 		TierChain:       "DRAM:cap=12.5%/CXL:cap=25%/PM",
-		BoundaryBudget:  64,
 		CacheLines:      -1,
 		CheckInvariants: true}
 	r := RunTiered(smallPattern(400_000), artmemMk(core.Config{SamplePeriod: 1}), cfg)

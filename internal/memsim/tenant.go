@@ -114,14 +114,6 @@ func (m *Machine) SetCurrentTenant(t TenantID) {
 	m.ts.current = t
 }
 
-// CurrentTenant returns the tenant currently charged for accesses.
-func (m *Machine) CurrentTenant() TenantID {
-	if m.ts == nil {
-		return DefaultTenant
-	}
-	return m.ts.current
-}
-
 // OwnerOf returns the tenant that owns page p (first-touch ownership).
 // DefaultTenant on single-tenant machines and for untouched pages.
 func (m *Machine) OwnerOf(p PageID) TenantID {

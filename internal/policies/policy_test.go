@@ -353,74 +353,3 @@ func TestPoliciesChargeBackgroundCPU(t *testing.T) {
 		}
 	}
 }
-
-func TestHeMemPromotesAtFixedThreshold(t *testing.T) {
-	m := testMachine(16)
-	h := NewHeMem(HeMemConfig{SamplePeriod: 1, HotThreshold: 8})
-	h.Attach(m)
-	touch := fillHotCold(m)
-	// Below threshold: 4 rounds → counts ~4 → no promotion.
-	touch(4)
-	h.Tick(1)
-	if got := m.Counters().Promotions; got != 0 {
-		t.Fatalf("promoted %d pages below the fixed threshold", got)
-	}
-	// Crossing the threshold promotes.
-	drive(m, h, touch, 10)
-	if got := m.Counters().Promotions; got == 0 {
-		t.Error("never promoted above the fixed threshold")
-	}
-}
-
-func TestHeMemRefusesToThrashHotOverHot(t *testing.T) {
-	// Every fast page is hot (above threshold) and active: demotion must
-	// find no victim and promotion must stall rather than swap hot pages.
-	m := testMachine(16)
-	h := NewHeMem(HeMemConfig{SamplePeriod: 1, HotThreshold: 2})
-	h.Attach(m)
-	ps := uint64(m.PageSize())
-	for p := uint64(0); p < 32; p++ {
-		m.Access(p*ps, false)
-	}
-	for round := 0; round < 10; round++ {
-		for p := uint64(0); p < 32; p++ { // everything equally hot
-			m.Access(p*ps, false)
-		}
-		h.Tick(int64(round))
-	}
-	c := m.Counters()
-	if c.Demotions > 0 {
-		// Any demoted page must have been genuinely below threshold at
-		// demotion time — with uniform heat there should be none after
-		// the counts warm up.
-		t.Logf("note: %d early demotions before counts warmed", c.Demotions)
-	}
-	inFast := 0
-	for p := memsim.PageID(0); p < 16; p++ {
-		if m.TierOf(p) == memsim.Fast {
-			inFast++
-		}
-	}
-	if inFast < 12 {
-		t.Errorf("hot-over-hot thrashing evicted the resident set: %d of 16 remain", inFast)
-	}
-}
-
-func TestExtraBaselinesRegistry(t *testing.T) {
-	extras := ExtraBaselines()
-	if len(extras) == 0 {
-		t.Fatal("no extra baselines")
-	}
-	for _, f := range extras {
-		pol := f.New()
-		if pol.Name() != f.Name {
-			t.Errorf("factory %q builds %q", f.Name, pol.Name())
-		}
-		pol.Attach(testMachine(16))
-		pol.Tick(1)
-	}
-	// Extras are not in the paper roster.
-	if _, err := ByName("HeMem"); err == nil {
-		t.Error("HeMem leaked into the paper's evaluated baselines")
-	}
-}

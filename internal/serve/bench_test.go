@@ -117,7 +117,7 @@ func (f *fakeBenchBackend) FreeRange(int, uint64, uint64) int  { return 0 }
 // loopback client streaming windowed access batches into a live System.
 // Reported ns/op is per record (batch of 256, window 8).
 func BenchmarkServeLoopback(b *testing.B) {
-	lb, err := StartLoopback("YCSB", 4096, 1<<20)
+	lb, err := StartLoopbackCfg(LoopbackConfig{Workload: "YCSB", Div: 4096, QueueRecords: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

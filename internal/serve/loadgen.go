@@ -442,13 +442,6 @@ type LoopbackConfig struct {
 	SpanCap int
 }
 
-// StartLoopback builds and starts a loopback stack with spans off —
-// the original smoke-test surface; see StartLoopbackCfg for the
-// instrumented form.
-func StartLoopback(workload string, div int64, queueRecords int) (*Loopback, error) {
-	return StartLoopbackCfg(LoopbackConfig{Workload: workload, Div: div, QueueRecords: queueRecords})
-}
-
 // StartLoopbackCfg builds and starts a loopback stack.
 func StartLoopbackCfg(cfg LoopbackConfig) (*Loopback, error) {
 	spec, err := workloads.ByName(cfg.Workload)

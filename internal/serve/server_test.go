@@ -325,7 +325,7 @@ func TestServeLoopbackE2E(t *testing.T) {
 	// Queue cap above the worst-case in-flight records
 	// (clients × window × batch = 64·8·256) so no batch can shed and the
 	// zero-shed assertion below is deterministic, not timing-dependent.
-	lb, err := StartLoopback("YCSB", 4096, 1<<20)
+	lb, err := StartLoopbackCfg(LoopbackConfig{Workload: "YCSB", Div: 4096, QueueRecords: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestServeOverloadSheds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload e2e in -short")
 	}
-	lb, err := StartLoopback("YCSB", 4096, 512)
+	lb, err := StartLoopbackCfg(LoopbackConfig{Workload: "YCSB", Div: 4096, QueueRecords: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestServeRetryDeliversAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("retry e2e in -short")
 	}
-	lb, err := StartLoopback("YCSB", 4096, 0)
+	lb, err := StartLoopbackCfg(LoopbackConfig{Workload: "YCSB", Div: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestServeShutdownRefusesNewStreams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network test in -short")
 	}
-	lb, err := StartLoopback("YCSB", 4096, 0)
+	lb, err := StartLoopbackCfg(LoopbackConfig{Workload: "YCSB", Div: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestServeBadTenantHandshake(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network test in -short")
 	}
-	lb, err := StartLoopback("YCSB", 4096, 0)
+	lb, err := StartLoopbackCfg(LoopbackConfig{Workload: "YCSB", Div: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestServeGarbageConnection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network test in -short")
 	}
-	lb, err := StartLoopback("YCSB", 4096, 0)
+	lb, err := StartLoopbackCfg(LoopbackConfig{Workload: "YCSB", Div: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

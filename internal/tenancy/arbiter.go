@@ -76,13 +76,6 @@ type ArbiterConfig struct {
 	// tenants, or at boost 1, behaviour is identical to plain weighted
 	// splits.
 	LatencyQuotaBoost int
-	// Boundaries is how many tier boundaries the admission budgets
-	// meter independently — an N-tier chain has N-1, each with its own
-	// per-tenant promotion budget and batch pool, so saturating the
-	// PM→CXL edge does not starve DRAM promotions. 0 or 1 is the
-	// two-tier machine: a single boundary, bit-identical to the legacy
-	// arbiter.
-	Boundaries int
 }
 
 func (c *ArbiterConfig) defaults(fastCap int) {
@@ -103,9 +96,6 @@ func (c *ArbiterConfig) defaults(fastCap int) {
 	}
 	if c.LatencyQuotaBoost < 1 {
 		c.LatencyQuotaBoost = 1
-	}
-	if c.Boundaries < 1 {
-		c.Boundaries = 1
 	}
 }
 
@@ -144,17 +134,15 @@ type Arbiter struct {
 	staticQuota []int
 	quota       []int
 
-	// Per-period promotion budgets, indexed [slot][boundary]: each tier
-	// boundary is metered independently (two-tier machines have exactly
-	// one). batchPool aggregates the batch tenants' budgets per boundary
-	// so a latency-SLO tenant can preempt batch bandwidth in O(1): batch
-	// promotions draw from their own budget AND the pool, latency
-	// promotions fall back to the pool once their own budget is spent.
-	// With no latency tenants the pool can never bind before the
-	// individual budgets do, so behaviour is identical to plain
-	// per-tenant budgets.
-	budget    [][]int
-	batchPool []int
+	// Per-period promotion budgets, indexed by slot. batchPool
+	// aggregates the batch tenants' budgets so a latency-SLO tenant can
+	// preempt batch bandwidth in O(1): batch promotions draw from their
+	// own budget AND the pool, latency promotions fall back to the pool
+	// once their own budget is spent. With no latency tenants the pool
+	// can never bind before the individual budgets do, so behaviour is
+	// identical to plain per-tenant budgets.
+	budget    []int
+	batchPool int
 
 	denials     []uint64
 	preemptions []uint64
@@ -170,10 +158,6 @@ type Arbiter struct {
 // join via addTenant.
 func newArbiter(m *memsim.Machine, capacity int, cfg ArbiterConfig) *Arbiter {
 	cfg.defaults(m.CapacityPages(memsim.Fast))
-	budget := make([][]int, capacity)
-	for i := range budget {
-		budget[i] = make([]int, cfg.Boundaries)
-	}
 	return &Arbiter{
 		cfg:         cfg,
 		m:           m,
@@ -182,8 +166,7 @@ func newArbiter(m *memsim.Machine, capacity int, cfg ArbiterConfig) *Arbiter {
 		isActive:    make([]bool, capacity),
 		staticQuota: make([]int, capacity),
 		quota:       make([]int, capacity),
-		budget:      budget,
-		batchPool:   make([]int, cfg.Boundaries),
+		budget:      make([]int, capacity),
 		denials:     make([]uint64, capacity),
 		preemptions: make([]uint64, capacity),
 		prevFast:    make([]uint64, capacity),
@@ -221,9 +204,7 @@ func (a *Arbiter) removeTenant(slot int) {
 	a.sumW -= a.effWeight(slot)
 	a.weights[slot] = 0
 	a.classes[slot] = ClassBatch
-	for b := range a.budget[slot] {
-		a.budget[slot][b] = 0
-	}
+	a.budget[slot] = 0
 	a.staticQuota[slot] = 0
 	a.quota[slot] = 0
 	a.window[slot] = -1
@@ -292,24 +273,18 @@ func (a *Arbiter) recomputeQuotas() {
 	}
 }
 
-// refillBudgets resets every boundary's per-tenant budgets and batch
-// pool to the weighted split. Each boundary gets the full
-// BandwidthPagesPerPeriod: the budget models each boundary's own
-// migration link, not one shared pipe.
+// refillBudgets resets the per-tenant budgets and the batch pool to
+// the weighted split of BandwidthPagesPerPeriod.
 func (a *Arbiter) refillBudgets() {
-	for bd := range a.batchPool {
-		a.batchPool[bd] = 0
-	}
+	a.batchPool = 0
 	for _, s := range a.active {
 		b := a.cfg.BandwidthPagesPerPeriod * a.effWeight(s) / a.sumW
 		if b < 1 {
 			b = 1
 		}
-		for bd := range a.budget[s] {
-			a.budget[s][bd] = b
-			if a.classes[s] == ClassBatch {
-				a.batchPool[bd] += b
-			}
+		a.budget[s] = b
+		if a.classes[s] == ClassBatch {
+			a.batchPool += b
 		}
 	}
 }
@@ -324,16 +299,15 @@ func (a *Arbiter) beginPeriod() {
 	}
 }
 
-// admitPromotion consumes one unit of the tenant's promotion budget on
-// the given tier boundary (0 on a two-tier machine), or denies the
-// promotion when it is spent. A latency-SLO tenant whose own budget is
-// spent preempts the batch tenants' pooled budget on that boundary; a
-// batch tenant needs both its own budget and pool headroom, so a
+// admitPromotion consumes one unit of the tenant's promotion budget, or
+// denies the promotion when it is spent. A latency-SLO tenant whose own
+// budget is spent preempts the batch tenants' pooled budget; a batch
+// tenant needs both its own budget and pool headroom, so a
 // preempted batch tenant degrades to "denied this period" (the same
 // graceful ErrTierFull path policies already handle) instead of
 // erroring. Promotions for inactive (draining or empty) slots are
 // always denied: a departing tenant must not grow its resident set.
-func (a *Arbiter) admitPromotion(id memsim.TenantID, boundary int) error {
+func (a *Arbiter) admitPromotion(id memsim.TenantID) error {
 	i := int(id)
 	if !a.isActive[i] {
 		a.denials[i]++
@@ -343,18 +317,18 @@ func (a *Arbiter) admitPromotion(id memsim.TenantID, boundary int) error {
 		return nil
 	}
 	if a.classes[i] == ClassLatency {
-		if a.budget[i][boundary] > 0 {
-			a.budget[i][boundary]--
+		if a.budget[i] > 0 {
+			a.budget[i]--
 			return nil
 		}
-		if a.batchPool[boundary] > 0 {
-			a.batchPool[boundary]--
+		if a.batchPool > 0 {
+			a.batchPool--
 			a.preemptions[i]++
 			return nil
 		}
-	} else if a.budget[i][boundary] > 0 && a.batchPool[boundary] > 0 {
-		a.budget[i][boundary]--
-		a.batchPool[boundary]--
+	} else if a.budget[i] > 0 && a.batchPool > 0 {
+		a.budget[i]--
+		a.batchPool--
 		return nil
 	}
 	a.denials[i]++
@@ -414,20 +388,6 @@ func (a *Arbiter) rebalance() {
 
 // Mode returns the arbiter's quota mode.
 func (a *Arbiter) Mode() Mode { return a.cfg.Mode }
-
-// Boundaries returns how many tier boundaries the arbiter meters
-// independently (1 on a two-tier machine).
-func (a *Arbiter) Boundaries() int { return a.cfg.Boundaries }
-
-// BudgetRemaining returns slot i's unspent promotion budget on the
-// given boundary this period (always 0 with admission off — nothing is
-// metered, so nothing remains to spend).
-func (a *Arbiter) BudgetRemaining(i, boundary int) int {
-	if !a.cfg.Admission {
-		return 0
-	}
-	return a.budget[i][boundary]
-}
 
 // AdmissionEnabled reports whether admission control is on.
 func (a *Arbiter) AdmissionEnabled() bool { return a.cfg.Admission }

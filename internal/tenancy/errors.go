@@ -29,13 +29,3 @@ func ErrorCode(err error) string {
 	}
 	return "error"
 }
-
-// Retryable reports whether err is transient backpressure — the caller
-// should retry next control period rather than fail hard.
-func Retryable(err error) bool {
-	switch ErrorCode(err) {
-	case "throttled", "reclaim_interrupted", "admission_denied":
-		return true
-	}
-	return false
-}

@@ -121,16 +121,8 @@ func NewDynamicPlane(m *memsim.Machine, capacity int, acfg ArbiterConfig) *Plane
 // concurrently registered tenants.
 func (p *Plane) Capacity() int { return p.capacity }
 
-// NumTenants returns the plane's slot count. Kept as an alias of
-// Capacity for fixed-membership callers that iterate every slot.
-func (p *Plane) NumTenants() int { return p.capacity }
-
 // ActiveTenants returns the number of slots in StateActive.
 func (p *Plane) ActiveTenants() int { return len(p.active) }
-
-// ActiveSlots returns the active slot ids in ascending order. The
-// returned slice is the plane's own; callers must not mutate it.
-func (p *Plane) ActiveSlots() []int { return p.active }
 
 // Tenant returns slot i's tenant descriptor (the zero Tenant for an
 // empty slot; draining slots keep their descriptor until reclamation

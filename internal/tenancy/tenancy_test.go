@@ -36,7 +36,7 @@ func TestStaticQuotaSplitSumsToCapacity(t *testing.T) {
 	}, ArbiterConfig{Mode: ModeStatic})
 
 	sum := 0
-	for i := 0; i < p.NumTenants(); i++ {
+	for i := 0; i < p.Capacity(); i++ {
 		q := p.Arbiter().Quota(i)
 		if q < 1 {
 			t.Errorf("tenant %d quota = %d, want >= 1", i, q)

@@ -133,9 +133,7 @@ func (v *TenantView) admit(p memsim.PageID, dst memsim.TierID) error {
 		return memsim.ErrNotAllocated
 	}
 	if dst == memsim.Fast {
-		// The tenant plane runs on two-tier machines, so every promotion
-		// crosses boundary 0; chain planes would map dst to its boundary.
-		return v.plane.arb.admitPromotion(v.id, 0)
+		return v.plane.arb.admitPromotion(v.id)
 	}
 	return nil
 }
