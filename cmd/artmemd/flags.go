@@ -3,26 +3,23 @@ package main
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
+
+	"artmem/internal/harness"
 )
 
-// Daemon modes, named after the flag that selects them. The single-agent
-// mode is the default and has no flag.
+// Daemon modes, named after the flag that selects them. The
+// single-tenant mode is the default and has no flag; it runs any tier
+// chain (-tiers), one agent per boundary.
 const (
 	modeSingle  = ""
 	modeTenants = "tenants"
-	modeTiers   = "tiers"
 )
 
-// daemonMode names the mode main dispatches to: -tenants wins over
-// -tiers, and neither selects the single-agent mode.
-func daemonMode(tenants, tiers string) string {
-	switch {
-	case tenants != "":
+// daemonMode names the mode main dispatches to: -tenants selects the
+// multi-tenant mode, its absence the single-tenant one.
+func daemonMode(tenants string) string {
+	if tenants != "" {
 		return modeTenants
-	case tiers != "":
-		return modeTiers
 	}
 	return modeSingle
 }
@@ -31,7 +28,7 @@ func daemonMode(tenants, tiers string) string {
 // not listed (-listen, -div, -accesses, -shutdown-timeout, -version)
 // apply in every mode.
 var flagModes = map[string][]string{
-	"workload":            {modeSingle, modeTiers},
+	"workload":            {modeSingle},
 	"ratio":               {modeSingle, modeTenants},
 	"checkpoint":          {modeSingle},
 	"checkpoint-interval": {modeSingle},
@@ -41,9 +38,17 @@ var flagModes = map[string][]string{
 	"tenants":             {modeTenants},
 	"arbiter":             {modeTenants},
 	"capacity":            {modeTenants},
-	"tiers":               {modeTiers},
-	"nonexclusive":        {modeTiers},
-	"boundary-budget":     {modeTiers},
+	"tiers":               {modeSingle},
+	"nonexclusive":        {modeSingle},
+	"boundary-budget":     {modeSingle},
+}
+
+// flagNeeds pairs each flag that only takes effect beside another flag
+// with that flag.
+var flagNeeds = [][2]string{
+	{"spans", "serve"},
+	{"nonexclusive", "tiers"},
+	{"boundary-budget", "tiers"},
 }
 
 // checkModeFlags rejects a set flag that mode never reads, so an
@@ -61,41 +66,42 @@ func checkModeFlags(mode string, set []string) error {
 		}
 		return fmt.Errorf("flag -%s has no effect with -%s", name, mode)
 	}
-	if slices.Contains(set, "spans") && !slices.Contains(set, "serve") {
-		return fmt.Errorf("flag -spans has no effect without -serve")
+	for _, n := range flagNeeds {
+		if slices.Contains(set, n[0]) && !slices.Contains(set, n[1]) {
+			return fmt.Errorf("flag -%s has no effect without -%s", n[0], n[1])
+		}
+	}
+	if slices.Contains(set, "ratio") && slices.Contains(set, "tiers") {
+		// The chain spec sizes every tier itself.
+		return fmt.Errorf("flag -ratio has no effect with -tiers")
 	}
 	return nil
 }
 
-// maxRatioShare bounds each side of -ratio so footprint × share cannot
-// overflow int64.
-const maxRatioShare = 1 << 16
-
-// parseRatio reads -ratio's DRAM:PM split. The DRAM share must be at
-// least 1, since the fast tier needs a page; a PM share of 0 runs DRAM
-// only.
-func parseRatio(s string) (fast, slow int, err error) {
-	f, sl, ok := strings.Cut(s, ":")
-	if ok {
-		fast, err = strconv.Atoi(f)
-		if err == nil {
-			slow, err = strconv.Atoi(sl)
+// checkChainFlags rejects the one-agent features on a -tiers chain of
+// more than two tiers, which runs one agent per boundary: a Q-table
+// checkpoint holds one agent's tables, and several agents would
+// journal the same pages twice.
+func checkChainFlags(spec string, tiers int, set []string) error {
+	for _, name := range []string{"checkpoint", "pagetrace"} {
+		if tiers > 2 && slices.Contains(set, name) {
+			return fmt.Errorf("flag -%s needs a two-tier machine; -tiers %s has %d tiers", name, spec, tiers)
 		}
 	}
-	if !ok || err != nil || fast < 1 || slow < 0 || fast > maxRatioShare || slow > maxRatioShare {
-		return 0, 0, fmt.Errorf("bad -ratio %q: want DRAM:PM with 1 <= DRAM <= %d and 0 <= PM <= %d",
-			s, maxRatioShare, maxRatioShare)
-	}
-	return fast, slow, nil
+	return nil
 }
 
 // checkCounts rejects out-of-range numeric flags: -div divides the
-// paper's footprint, so it must be at least 1, and -capacity,
-// -boundary-budget, -pagetrace and -spans, whose 0 means "default" or
-// "off", must not be negative.
-func checkCounts(div int64, capacity, boundaryBudget, pagetrace, spans int) error {
+// paper's footprint, so it must be at least 1, and -accesses,
+// -capacity, -boundary-budget, -pagetrace and -spans, whose 0 means
+// "default", "off" or (for -accesses) "serve only", must not be
+// negative.
+func checkCounts(div, accesses int64, capacity, boundaryBudget, pagetrace, spans int) error {
 	if div < 1 {
 		return fmt.Errorf("bad -div %d: want >= 1", div)
+	}
+	if accesses < 0 {
+		return fmt.Errorf("bad -accesses %d: want >= 0", accesses)
 	}
 	for _, f := range []struct {
 		name string
@@ -113,8 +119,8 @@ func checkCounts(div int64, capacity, boundaryBudget, pagetrace, spans int) erro
 	return nil
 }
 
-// ratioFastBytes is the fast tier's share of foot under -ratio
-// fast:slow, at least one page.
-func ratioFastBytes(foot, pageSize int64, fast, slow int) int64 {
-	return max(foot*int64(fast)/int64(fast+slow), pageSize)
+// ratioFastBytes is the fast tier's share of foot under -ratio r, at
+// least one page.
+func ratioFastBytes(foot, pageSize int64, r harness.Ratio) int64 {
+	return max(r.FastBytes(foot), pageSize)
 }

@@ -1,51 +1,56 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"artmem/internal/harness"
+)
 
 // TestCheckModeFlags pins the per-mode flag table: a flag the selected
-// mode never reads is a usage error naming the flag and the mode, and
-// every flag a mode does read passes.
+// mode never reads, or one set without the flag it works beside, is a
+// usage error naming both, and every flag a mode does read passes. The
+// single-tenant mode reads -tiers and the chain flags; -ratio does not
+// combine with -tiers, whose spec sizes every tier.
 func TestCheckModeFlags(t *testing.T) {
 	for _, c := range []struct {
-		name          string
-		tenants, tier string
-		set           []string
-		want          string // "" = accepted
+		name    string
+		tenants string
+		set     []string
+		want    string // "" = accepted
 	}{
-		{"single defaults", "", "", nil, ""},
-		{"single reads its flags", "", "",
+		{"single defaults", "", nil, ""},
+		{"single reads its flags", "",
 			[]string{"workload", "ratio", "checkpoint", "checkpoint-interval", "pagetrace", "serve", "spans", "listen", "div", "accesses", "shutdown-timeout"}, ""},
-		{"tenants reads its flags", "S2,YCSB", "",
+		{"tenants reads its flags", "S2,YCSB",
 			[]string{"tenants", "arbiter", "capacity", "ratio", "serve", "spans", "listen"}, ""},
-		{"tiers reads its flags", "", "DRAM/PM",
+		{"tiers reads its flags", "",
 			[]string{"tiers", "nonexclusive", "boundary-budget", "workload", "div", "accesses"}, ""},
-		{"checkpoint under tenants", "S2", "", []string{"tenants", "checkpoint"},
+		{"checkpoint under tenants", "S2", []string{"tenants", "checkpoint"},
 			"flag -checkpoint has no effect with -tenants"},
-		{"pagetrace under tiers", "", "DRAM/PM", []string{"tiers", "pagetrace"},
-			"flag -pagetrace has no effect with -tiers"},
-		{"checkpoint interval under tiers", "", "DRAM/PM", []string{"tiers", "checkpoint-interval"},
-			"flag -checkpoint-interval has no effect with -tiers"},
-		{"serve under tiers", "", "DRAM/PM", []string{"tiers", "serve"},
-			"flag -serve has no effect with -tiers"},
-		{"tiers loses to tenants", "S2", "DRAM/PM", []string{"tenants", "tiers"},
+		{"pagetrace under tiers", "", []string{"tiers", "pagetrace"}, ""},
+		{"checkpoint interval under tiers", "", []string{"tiers", "checkpoint", "checkpoint-interval"}, ""},
+		{"serve under tiers", "", []string{"tiers", "serve", "spans"}, ""},
+		{"tiers loses to tenants", "S2", []string{"tenants", "tiers"},
 			"flag -tiers has no effect with -tenants"},
-		{"workload under tenants", "S2", "", []string{"tenants", "workload"},
+		{"workload under tenants", "S2", []string{"tenants", "workload"},
 			"flag -workload has no effect with -tenants"},
-		{"ratio under tiers", "", "DRAM/PM", []string{"tiers", "ratio"},
+		{"ratio under tiers", "", []string{"tiers", "ratio"},
 			"flag -ratio has no effect with -tiers"},
-		{"arbiter outside tenants", "", "", []string{"arbiter"},
+		{"arbiter outside tenants", "", []string{"arbiter"},
 			"flag -arbiter has no effect without -tenants"},
-		{"capacity outside tenants", "", "DRAM/PM", []string{"tiers", "capacity"},
-			"flag -capacity has no effect with -tiers"},
-		{"nonexclusive outside tiers", "", "", []string{"nonexclusive"},
+		{"capacity outside tenants", "", []string{"tiers", "capacity"},
+			"flag -capacity has no effect without -tenants"},
+		{"nonexclusive outside tiers", "", []string{"nonexclusive"},
 			"flag -nonexclusive has no effect without -tiers"},
-		{"boundary budget outside tiers", "S2", "", []string{"tenants", "boundary-budget"},
+		{"boundary budget outside tiers", "S2", []string{"tenants", "boundary-budget"},
 			"flag -boundary-budget has no effect with -tenants"},
-		{"spans without serve", "", "", []string{"spans"},
+		{"boundary budget without tiers", "", []string{"boundary-budget"},
+			"flag -boundary-budget has no effect without -tiers"},
+		{"spans without serve", "", []string{"spans"},
 			"flag -spans has no effect without -serve"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			err := checkModeFlags(daemonMode(c.tenants, c.tier), c.set)
+			err := checkModeFlags(daemonMode(c.tenants), c.set)
 			switch {
 			case c.want == "" && err != nil:
 				t.Errorf("unexpected error: %v", err)
@@ -53,29 +58,54 @@ func TestCheckModeFlags(t *testing.T) {
 				t.Errorf("err = %v, want %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestCheckChainFlags pins the one-agent features' rule: -checkpoint
+// and -pagetrace work on a two-tier -tiers machine (one boundary, one
+// agent) and exit on a longer chain.
+func TestCheckChainFlags(t *testing.T) {
+	const spec = "DRAM:12.5%/CXL:25%/PM"
+	for _, c := range []struct {
+		tiers int
+		set   []string
+		want  string // "" = accepted
+	}{
+		{2, []string{"tiers", "checkpoint", "pagetrace"}, ""},
+		{3, []string{"tiers", "serve", "spans", "nonexclusive", "boundary-budget"}, ""},
+		{3, []string{"tiers", "checkpoint"}, "flag -checkpoint needs a two-tier machine; -tiers " + spec + " has 3 tiers"},
+		{4, []string{"tiers", "pagetrace"}, "flag -pagetrace needs a two-tier machine; -tiers " + spec + " has 4 tiers"},
+	} {
+		err := checkChainFlags(spec, c.tiers, c.set)
+		if (c.want == "" && err != nil) || (c.want != "" && (err == nil || err.Error() != c.want)) {
+			t.Errorf("checkChainFlags(%d tiers, %v) = %v, want %q", c.tiers, c.set, err, c.want)
+		}
 	}
 }
 
 // TestCheckCounts pins the numeric flag ranges: -div at least 1, the
-// count flags at least 0, and the first bad flag named in the error.
+// count flags at least 0 (-accesses 0 is serve-only), and the first bad
+// flag named in the error.
 func TestCheckCounts(t *testing.T) {
 	for _, c := range []struct {
 		name                               string
-		div                                int64
+		div, accesses                      int64
 		capacity, budget, pagetrace, spans int
 		want                               string // "" = accepted
 	}{
-		{"defaults", 256, 0, 0, 0, 0, ""},
-		{"all set", 1, 8, 64, 16, 4, ""},
-		{"div zero", 0, 0, 0, 0, 0, "bad -div 0: want >= 1"},
-		{"div negative", -1, 0, 0, 0, 0, "bad -div -1: want >= 1"},
-		{"capacity negative", 256, -1, 0, 0, 0, "bad -capacity -1: want >= 0"},
-		{"boundary budget negative", 256, 0, -3, 0, 0, "bad -boundary-budget -3: want >= 0"},
-		{"pagetrace negative", 256, 0, 0, -1, 0, "bad -pagetrace -1: want >= 0"},
-		{"spans negative", 256, 0, 0, 0, -1, "bad -spans -1: want >= 0"},
+		{"defaults", 256, 3_000_000, 0, 0, 0, 0, ""},
+		{"all set", 1, 1, 8, 64, 16, 4, ""},
+		{"serve only", 256, 0, 0, 0, 0, 0, ""},
+		{"div zero", 0, 0, 0, 0, 0, 0, "bad -div 0: want >= 1"},
+		{"div negative", -1, 0, 0, 0, 0, 0, "bad -div -1: want >= 1"},
+		{"accesses negative", 256, -5, 0, 0, 0, 0, "bad -accesses -5: want >= 0"},
+		{"capacity negative", 256, 0, -1, 0, 0, 0, "bad -capacity -1: want >= 0"},
+		{"boundary budget negative", 256, 0, 0, -3, 0, 0, "bad -boundary-budget -3: want >= 0"},
+		{"pagetrace negative", 256, 0, 0, 0, -1, 0, "bad -pagetrace -1: want >= 0"},
+		{"spans negative", 256, 0, 0, 0, 0, -1, "bad -spans -1: want >= 0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			err := checkCounts(c.div, c.capacity, c.budget, c.pagetrace, c.spans)
+			err := checkCounts(c.div, c.accesses, c.capacity, c.budget, c.pagetrace, c.spans)
 			switch {
 			case c.want == "" && err != nil:
 				t.Errorf("unexpected error: %v", err)
@@ -86,35 +116,13 @@ func TestCheckCounts(t *testing.T) {
 	}
 }
 
-// TestParseRatio pins -ratio's accepted forms: a DRAM share of at least
-// 1, a PM share of at least 0 (1:0 is DRAM only), and nothing trailing.
-func TestParseRatio(t *testing.T) {
-	for _, c := range []struct {
-		in         string
-		fast, slow int
-		ok         bool
-	}{
-		{"1:4", 1, 4, true},
-		{"1:0", 1, 0, true},
-		{"2:1", 2, 1, true},
-		{"0:0", 0, 0, false},
-		{"0:4", 0, 0, false},
-		{"1:-1", 0, 0, false},
-		{"-1:4", 0, 0, false},
-		{"1:4x", 0, 0, false},
-		{"1", 0, 0, false},
-		{"", 0, 0, false},
-		{"1:4:2", 0, 0, false},
-		{"1:100000", 0, 0, false},
-	} {
-		fast, slow, err := parseRatio(c.in)
-		if (err == nil) != c.ok || fast != c.fast || slow != c.slow {
-			t.Errorf("parseRatio(%q) = %d, %d, %v; want %d, %d, ok=%v",
-				c.in, fast, slow, err, c.fast, c.slow, c.ok)
-		}
-	}
-	// A DRAM share below one page still gives the fast tier a page.
-	if got := ratioFastBytes(8<<10, 4<<10, 1, 4); got != 4<<10 {
+// TestRatioFastBytes: a DRAM share below one page still gives the fast
+// tier a page. The -ratio rule itself is harness.ParseRatio's.
+func TestRatioFastBytes(t *testing.T) {
+	if got := ratioFastBytes(8<<10, 4<<10, harness.Ratio{Fast: 1, Slow: 4}); got != 4<<10 {
 		t.Errorf("ratioFastBytes(8K, 4K page, 1:4) = %d, want one page", got)
+	}
+	if got := ratioFastBytes(5<<20, 4<<10, harness.Ratio{Fast: 1, Slow: 4}); got != 1<<20 {
+		t.Errorf("ratioFastBytes(5M, 4K page, 1:4) = %d, want 1M", got)
 	}
 }

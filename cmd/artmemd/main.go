@@ -30,8 +30,9 @@
 //	artmemd -tenants SSSP,XSBench -arbiter dynamic -ratio 1:4
 //	curl localhost:7600/tenants
 //
-// N-tier mode replays against a tier-chain machine (one RL agent per
-// tier boundary) and serves the chain surface at /tiers:
+// -tiers replaces the DRAM:PM machine with a tier chain, one RL agent
+// per tier boundary; a chain of three or more tiers also serves the
+// chain surface at /tiers, and takes -serve like any machine:
 //
 //	artmemd -tiers DRAM:12.5%/CXL:25%/PM -nonexclusive -workload S2
 //	curl localhost:7600/tiers
@@ -55,9 +56,11 @@ import (
 	"time"
 
 	"artmem/internal/core"
+	"artmem/internal/harness"
 	"artmem/internal/memsim"
 	"artmem/internal/serve"
 	"artmem/internal/telemetry"
+	"artmem/internal/tier"
 	"artmem/internal/workloads"
 )
 
@@ -90,27 +93,36 @@ func main() {
 		pagetrace = flag.Int("pagetrace", 0, "enable page-lifecycle tracing at 1-in-N page sampling (served at /pagetrace; 0 = off)")
 		serveAddr = flag.String("serve", "", "listen address for the batched streaming access API (artload's target); empty = off")
 		spanRate  = flag.Int("spans", 0, "latency span sampling: record 1-in-N accepted batches into the journal served at /spans (0 = off; needs -serve)")
-		tiers     = flag.String("tiers", "", "tier chain spec for N-tier mode, e.g. DRAM:12.5%/CXL:25%/PM (one RL agent per boundary; serves /tiers)")
-		nonExcl   = flag.Bool("nonexclusive", false, "N-tier mode: non-exclusive (Nomad-style) promotion, demotions discard onto clean shadow copies")
-		bndBudget = flag.Int("boundary-budget", 0, "N-tier mode: migrations per boundary per decision period (0 = unmetered)")
+		tiers     = flag.String("tiers", "", "tier chain spec replacing -ratio's DRAM:PM machine, e.g. DRAM:12.5%/CXL:25%/PM (one RL agent per boundary; 3+ tiers serve /tiers)")
+		nonExcl   = flag.Bool("nonexclusive", false, "with -tiers: non-exclusive (Nomad-style) promotion, demotions discard onto clean shadow copies")
+		bndBudget = flag.Int("boundary-budget", 0, "with -tiers: migrations per boundary per decision period (0 = unmetered)")
 		tenants   = flag.String("tenants", "", "comma-separated workload list for multi-tenant mode (one tenant + RL agent per workload; serves /tenants)")
 		arbiter   = flag.String("arbiter", "dynamic", "multi-tenant fast-tier arbiter mode: off, static, or dynamic (quotas + admission control)")
 		capacity  = flag.Int("capacity", 0, "multi-tenant slot capacity; 0 = number of listed tenants (extra slots admit runtime POST /register)")
 		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
-	mode := daemonMode(*tenants, *tiers)
+	mode := daemonMode(*tenants)
 	var set []string
 	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	if err := checkModeFlags(mode, set); err != nil {
 		usageError(err)
 	}
-	fast, slow, err := parseRatio(*ratio)
+	split, err := harness.ParseRatio(*ratio)
 	if err != nil {
 		usageError(err)
 	}
-	if err := checkCounts(*div, *capacity, *bndBudget, *pagetrace, *spanRate); err != nil {
+	if err := checkCounts(*div, *acc, *capacity, *bndBudget, *pagetrace, *spanRate); err != nil {
 		usageError(err)
+	}
+	var chain tier.Chain
+	if *tiers != "" {
+		if chain, err = tier.ParseChain(*tiers); err != nil {
+			usageError(fmt.Errorf("bad -tiers %q: %w", *tiers, err))
+		}
+		if err := checkChainFlags(*tiers, len(chain), set); err != nil {
+			usageError(err)
+		}
 	}
 
 	build := telemetry.ReadBuildInfo()
@@ -120,12 +132,8 @@ func main() {
 	}
 
 	prof := workloads.Profile{Div: *div, PatternAccesses: *acc, AppAccesses: *acc, Seed: 1}
-	switch mode {
-	case modeTenants:
-		multiMain(*tenants, *arbiter, prof, fast, slow, *capacity, *listen, *serveAddr, *spanRate, *drain, build)
-		return
-	case modeTiers:
-		tieredMain(*tiers, *nonExcl, *bndBudget, *name, prof, *listen, *drain, build)
+	if mode == modeTenants {
+		multiMain(*tenants, *arbiter, prof, split, *capacity, *listen, *serveAddr, *spanRate, *drain, build)
 		return
 	}
 	spec, err := workloads.ByName(*name)
@@ -136,13 +144,21 @@ func main() {
 	probe := spec.New(prof)
 	foot := probe.FootprintBytes()
 	probe.Close()
-	mcfg := memsim.DefaultConfig(foot, ratioFastBytes(foot, prof.PageSize(), fast, slow), prof.PageSize())
+	mcfg := memsim.DefaultConfig(foot, ratioFastBytes(foot, prof.PageSize(), split), prof.PageSize())
+	machine := *ratio
+	if chain != nil {
+		mcfg = memsim.DefaultConfig(foot, 0, prof.PageSize())
+		mcfg.Chain = chain
+		mcfg.NonExclusive = *nonExcl
+		machine = *tiers
+	}
 
 	sys := core.NewSystem(core.SystemConfig{
 		Machine:             mcfg,
 		Policy:              core.Config{},
 		SamplingInterval:    time.Millisecond,
 		MigrationInterval:   10 * time.Millisecond,
+		BoundaryBudget:      *bndBudget,
 		PageTraceSampleRate: *pagetrace,
 	})
 	// The Go runtime's own health (goroutines, heap, GC) rides along on
@@ -224,12 +240,16 @@ func main() {
 	fmt.Printf("artmemd: build %s\n", build)
 	fmt.Printf("artmemd: serving interaction channels on http://%s\n", *listen)
 	fmt.Printf("artmemd: telemetry at /metrics, /metrics.json, /trace, /qtable; profiling at /debug/pprof/\n")
+	if nb := sys.NumBoundaries(); nb > 1 {
+		fmt.Printf("artmemd: %d-tier chain (%d boundary agents, non-exclusive=%v); per-tier state at /tiers\n",
+			len(chain), nb, *nonExcl)
+	}
 	if *pagetrace > 0 {
 		fmt.Printf("artmemd: page-lifecycle tracing on at 1/%d sampling (/pagetrace)\n",
 			sys.Telemetry().PageTrace.Rate())
 	}
 	fmt.Printf("artmemd: replaying %s (%d MB) at %s in a loop; SIGINT/SIGTERM to stop\n",
-		*name, foot>>20, *ratio)
+		*name, foot>>20, machine)
 
 	if *acc <= 0 {
 		// Serve-only mode: no local replay loop, all traffic arrives

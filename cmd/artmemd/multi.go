@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"artmem/internal/core"
+	"artmem/internal/harness"
 	"artmem/internal/memsim"
 	"artmem/internal/serve"
 	"artmem/internal/telemetry"
@@ -40,7 +41,7 @@ func jsonError(w http.ResponseWriter, status int, code, msg string) {
 // a tenant through the plane's transactional reclamation. The control
 // plane (including /tenants) is served on the same listen address the
 // single-tenant daemon uses.
-func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, capacity int,
+func multiMain(tenantList, arbMode string, prof workloads.Profile, ratio harness.Ratio, capacity int,
 	listen, serveAddr string, spanRate int, drain time.Duration, build telemetry.BuildInfo) {
 	var mode tenancy.Mode
 	switch arbMode {
@@ -90,7 +91,7 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 	}
 
 	foot := slotBytes * int64(capacity)
-	mcfg := memsim.DefaultConfig(foot, ratioFastBytes(foot, prof.PageSize(), fast, slow), prof.PageSize())
+	mcfg := memsim.DefaultConfig(foot, ratioFastBytes(foot, prof.PageSize(), ratio), prof.PageSize())
 	sys := core.NewMultiSystem(core.MultiSystemConfig{
 		Machine:           mcfg,
 		Tenants:           tenants,
@@ -156,8 +157,8 @@ func multiMain(tenantList, arbMode string, prof workloads.Profile, fast, slow, c
 		len(names), capacity, strings.Join(names, ","), mode, mode != tenancy.ModeOff)
 	fmt.Printf("artmemd: serving control plane on http://%s (/tenants, /stats, /metrics, /metrics.json, /trace)\n", listen)
 	fmt.Printf("artmemd: tenant lifecycle at POST /register?workload=NAME[&name=..&weight=..&class=latency] and POST /deregister?slot=N[&handoff=M][&crash=1]\n")
-	fmt.Printf("artmemd: replaying %d MB machine (%d slots x %d MB) at %d:%d in a loop; SIGINT/SIGTERM to stop\n",
-		foot>>20, capacity, slotBytes>>20, fast, slow)
+	fmt.Printf("artmemd: replaying %d MB machine (%d slots x %d MB) at %s in a loop; SIGINT/SIGTERM to stop\n",
+		foot>>20, capacity, slotBytes>>20, ratio)
 
 loop:
 	for {

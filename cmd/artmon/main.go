@@ -14,10 +14,10 @@
 // between consecutive polls, so the first frame — and every -once frame
 // — shows totals only.
 //
-// Against an N-tier chain daemon (artmemd -tiers) the monitor reads
-// /tiers and swaps the fast/slow panel for per-tier occupancy bars and
-// per-boundary migration rows; two-tier and older daemons serve no
-// /tiers and keep the classic layout.
+// Against a chain daemon (artmemd -tiers with three or more tiers) the
+// monitor reads /tiers and swaps the fast/slow panel for per-tier
+// occupancy bars and per-boundary migration rows; two-tier and older
+// daemons serve no /tiers and keep the classic layout.
 package main
 
 import (
@@ -87,9 +87,9 @@ type sample struct {
 	// serves /slo; nil against daemons without the endpoint (older
 	// builds, or -serve off), which omit the burn panel.
 	slo *telemetry.SLOReport
-	// tiers carries the N-tier chain report when the daemon runs in
-	// chain mode (-tiers) and serves /tiers; nil against two-tier and
-	// older daemons, which keep the classic fast/slow panel.
+	// tiers carries the N-tier chain report when the daemon runs a
+	// chain of three or more tiers and serves /tiers; nil against
+	// two-tier and older daemons, which keep the classic fast/slow panel.
 	tiers *core.TiersReport
 }
 
@@ -136,7 +136,7 @@ func poll(base string, tail int) (*sample, error) {
 		}
 	}
 
-	// Chain daemons (-tiers) serve /tiers; a two-tier or older daemon
+	// Chain daemons (three or more tiers) serve /tiers; a two-tier daemon
 	// 404s it and the frame keeps its fast/slow panel.
 	if body, err := get(base + "/tiers"); err == nil {
 		var rep core.TiersReport
@@ -192,8 +192,8 @@ func renderFrame(cur, prev *sample, base string) string {
 
 	if cur.tiers != nil {
 		// Chain daemon: per-tier occupancy bars and per-boundary agents
-		// replace the two-tier panel, whose series the chain registry
-		// does not export.
+		// replace the two-tier panel, whose per-agent series cover only
+		// boundary 0 there.
 		b.WriteString(renderTiers(cur, prev, dt))
 	} else {
 		// Tier occupancy as used/capacity bars.

@@ -95,10 +95,10 @@ func TestPollAndRenderAgainstSystem(t *testing.T) {
 	}
 }
 
-// TestPollAndRenderAgainstTieredSystem drives the monitor against an
-// N-tier chain daemon: /tiers is picked up, the chain panel replaces
-// the fast/slow bars and two-tier counter table, and the decision tail
-// drains the merged boundary traces.
+// TestPollAndRenderAgainstTieredSystem drives the monitor against a
+// System on an N-tier chain: /tiers is picked up, the chain panel
+// replaces the fast/slow bars and two-tier counter table, and the
+// decision tail drains the merged boundary traces.
 func TestPollAndRenderAgainstTieredSystem(t *testing.T) {
 	ch, err := tier.ParseChain("DRAM:cap=16/CXL:cap=24/PM")
 	if err != nil {
@@ -108,7 +108,7 @@ func TestPollAndRenderAgainstTieredSystem(t *testing.T) {
 	mcfg.Chain = ch
 	mcfg.NonExclusive = true
 	mcfg.CacheLines = 0
-	sys := core.NewTieredSystem(core.TieredSystemConfig{
+	sys := core.NewSystem(core.SystemConfig{
 		Machine:           mcfg,
 		Policy:            core.Config{SamplePeriod: 1},
 		SamplingInterval:  500 * time.Microsecond,
@@ -148,7 +148,7 @@ func TestPollAndRenderAgainstTieredSystem(t *testing.T) {
 		}
 	}
 	// The two-tier sections must not render against a chain daemon:
-	// their series do not exist in the chain registry.
+	// the chain panel replaces them.
 	for _, absent := range []string{"fast  [", "slow  [", "lru:", "accesses fast"} {
 		if strings.Contains(frame, absent) {
 			t.Errorf("chain frame rendered two-tier section %q:\n%s", absent, frame)

@@ -151,6 +151,11 @@ func replay(args []string) {
 	if fs.NArg() != 1 {
 		usage()
 	}
+	split, err := harness.ParseRatio(*ratio)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "artrace:", err)
+		os.Exit(2)
+	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -178,13 +183,9 @@ func replay(args []string) {
 		}
 		pol = fct.New()
 	}
-	var fast, slow int
-	if _, err := fmt.Sscanf(*ratio, "%d:%d", &fast, &slow); err != nil {
-		fatal(fmt.Errorf("bad -ratio %q: %v", *ratio, err))
-	}
 	res := harness.Run(r, pol, harness.Config{
 		PageSize: *pageSize,
-		Ratio:    harness.Ratio{Fast: fast, Slow: slow},
+		Ratio:    split,
 	})
 	if r.Err() != nil {
 		fatal(r.Err())

@@ -44,6 +44,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	r, err := harness.ParseRatio(*ratio)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "masim:", err)
+		os.Exit(2)
+	}
 	prof := workloads.Profile{Div: *div, PatternAccesses: *acc, AppAccesses: *acc, Seed: 1}
 
 	var w workloads.Workload
@@ -98,14 +103,9 @@ func main() {
 		pol = f.New()
 	}
 
-	var fast, slow int
-	if _, err := fmt.Sscanf(*ratio, "%d:%d", &fast, &slow); err != nil {
-		fatal(fmt.Errorf("bad -ratio %q: %v", *ratio, err))
-	}
-
 	res := harness.Run(w, pol, harness.Config{
 		PageSize:      prof.PageSize(),
-		Ratio:         harness.Ratio{Fast: fast, Slow: slow},
+		Ratio:         r,
 		CollectSeries: *verbose,
 	})
 

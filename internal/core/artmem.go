@@ -27,12 +27,12 @@
 // thresholds, fixed migration number), DisableSorting (conservative
 // status-preserving insertion), and LatencyReward (§6.3.4).
 //
-// Three runtimes wrap the agent for online use, all on one control
-// loop (loop.go). System runs one agent against a plain memsim.Machine
-// with real sampling/migration/watchdog goroutines (the §4.4
-// ksampled/kmigrated architecture). MultiSystem runs one agent per
-// tenant (per memcg) over a shared machine, and TieredSystem
-// (DESIGN.md §13) runs one agent per boundary of an N-tier chain.
+// Two runtimes wrap the agent for online use, both on one control loop
+// (loop.go) with real sampling/migration/watchdog goroutines (the §4.4
+// ksampled/kmigrated architecture). System runs one agent per tier
+// boundary of its machine: one agent on the paper's two-tier machine,
+// one per boundary of an N-tier chain (DESIGN.md §13). MultiSystem runs
+// one agent per tenant (per memcg) over a shared machine.
 package core
 
 import (
@@ -470,6 +470,18 @@ func (a *ArtMem) FaultStats() FaultStats {
 		TierFullStops:   a.ctTierFullStops.Value(),
 		DegradedTicks:   a.ctDegradedTicks.Value(),
 		DegradedEntries: a.ctDegradedIn.Value(),
+	}
+}
+
+// add returns the field-wise sum of f and g.
+func (f FaultStats) add(g FaultStats) FaultStats {
+	return FaultStats{
+		Retries:         f.Retries + g.Retries,
+		SkippedPages:    f.SkippedPages + g.SkippedPages,
+		Rollbacks:       f.Rollbacks + g.Rollbacks,
+		TierFullStops:   f.TierFullStops + g.TierFullStops,
+		DegradedTicks:   f.DegradedTicks + g.DegradedTicks,
+		DegradedEntries: f.DegradedEntries + g.DegradedEntries,
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 
 	"artmem/internal/memsim"
+	"artmem/internal/telemetry"
 )
 
 // This file exposes the paper's §5 "interaction channels for environment
@@ -32,8 +34,21 @@ import (
 //	GET /qtable                  both Q-tables with learning history as JSON
 //	GET /healthz                 ok/degraded/draining liveness for balancers
 //	                             (JSON; draining answers 503)
+//	GET /tiers                   per-tier occupancy and per-boundary agents
+//	                             as JSON; served only with more than one
+//	                             boundary
+//
+// The pseudo-file endpoints and /qtable read boundary 0's agent. On a
+// chain, /stats sums the resilience counters over all agents, /trace
+// merges their decision traces, and /tiers shows every boundary.
 func (s *System) ControlHandler() http.Handler {
 	mux := s.controlMux()
+	if len(s.agents) > 1 {
+		mux.HandleFunc("GET /tiers", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(s.TiersStatus())
+		})
+	}
 	mux.HandleFunc("GET /memory.hit_ratio_show", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		fast, slow := s.pol.sampler.PeekWindowCounts()
@@ -62,10 +77,16 @@ func (s *System) ControlHandler() http.Handler {
 		s.mu.Lock()
 		c := s.m.Counters()
 		now := s.m.Now()
-		degraded := s.pol.degraded
-		sampleDrops := s.pol.sampler.Dropped() + s.pol.sampler.InjectedDrops()
+		degraded := anyDegraded(s.agents)
+		var sampleDrops uint64
+		for _, a := range s.agents {
+			sampleDrops += a.sampler.Dropped() + a.sampler.InjectedDrops()
+		}
 		s.mu.Unlock()
-		fs := s.pol.FaultStats()
+		var fs FaultStats
+		for _, a := range s.agents {
+			fs = fs.add(a.FaultStats())
+		}
 		h := s.Health()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {
@@ -103,7 +124,12 @@ func (s *System) ControlHandler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		s.tel.Trace.WriteJSONL(w, n)
+		enc := json.NewEncoder(w)
+		for _, e := range s.traceEvents(n) {
+			if err := enc.Encode(e); err != nil {
+				return
+			}
+		}
 	})
 	mux.HandleFunc("GET /pagetrace", func(w http.ResponseWriter, r *http.Request) {
 		// The page trace has its own lock; serving it must not take s.mu
@@ -133,6 +159,105 @@ func (s *System) ControlHandler() http.Handler {
 		json.NewEncoder(w).Encode(rep)
 	})
 	return mux
+}
+
+// traceEvents returns the last n decision events (0: every retained
+// one) across the agents' trace rings. One agent's ring comes back as
+// recorded; several are merged on the shared virtual clock, ties broken
+// by the per-ring sequence number.
+func (s *System) traceEvents(n int) []telemetry.Event {
+	var evs []telemetry.Event
+	for _, a := range s.agents {
+		evs = append(evs, a.Telemetry().Trace.Events(n)...)
+	}
+	if len(s.agents) == 1 {
+		return evs
+	}
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].TimeNs != evs[j].TimeNs {
+			return evs[i].TimeNs < evs[j].TimeNs
+		}
+		return evs[i].Seq < evs[j].Seq
+	})
+	if n > 0 && len(evs) > n {
+		evs = evs[len(evs)-n:]
+	}
+	return evs
+}
+
+// TierStatus is one tier's row in the /tiers document.
+type TierStatus struct {
+	Index       int    `json:"index"`
+	Name        string `json:"name"`
+	UsedPages   int    `json:"used_pages"`
+	Capacity    int    `json:"capacity_pages"`
+	ShadowPages int    `json:"shadow_pages"`
+	Accesses    uint64 `json:"accesses"`
+}
+
+// BoundaryStatus is one tier boundary's row in the /tiers document:
+// the boundary's migration totals plus its agent's RL state.
+type BoundaryStatus struct {
+	Boundary       int    `json:"boundary"`
+	Upper          string `json:"upper"`
+	Lower          string `json:"lower"`
+	Promotions     uint64 `json:"promotions"`
+	Demotions      uint64 `json:"demotions"`
+	ShadowDiscards uint64 `json:"shadow_discards"`
+	Threshold      uint32 `json:"threshold"`
+	Decisions      uint64 `json:"decisions"`
+	Degraded       bool   `json:"degraded"`
+}
+
+// TiersReport is the JSON document served at /tiers. The field set is
+// schema-pinned: artmon renders its per-tier panel from it and degrades
+// gracefully when the endpoint is absent (two-tier daemons).
+type TiersReport struct {
+	VirtualNs         int64            `json:"virtual_ns"`
+	NonExclusive      bool             `json:"non_exclusive"`
+	Tiers             []TierStatus     `json:"tiers"`
+	Boundaries        []BoundaryStatus `json:"boundaries"`
+	ShadowInvalidates uint64           `json:"shadow_invalidates"`
+	ShadowReclaims    uint64           `json:"shadow_reclaims"`
+}
+
+// TiersStatus assembles the /tiers document under the system lock.
+func (s *System) TiersStatus() TiersReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.m.Counters()
+	st := TiersReport{
+		VirtualNs:         s.m.Now(),
+		NonExclusive:      s.m.Config().NonExclusive,
+		ShadowInvalidates: c.ShadowInvalidates,
+		ShadowReclaims:    c.ShadowReclaims,
+	}
+	for t := 0; t < s.m.Tiers(); t++ {
+		tid := memsim.TierID(t)
+		st.Tiers = append(st.Tiers, TierStatus{
+			Index:       t,
+			Name:        s.m.TierName(tid),
+			UsedPages:   s.m.UsedPages(tid),
+			Capacity:    s.m.CapacityPages(tid),
+			ShadowPages: s.m.ShadowPages(tid),
+			Accesses:    s.m.TierAccesses(tid),
+		})
+	}
+	for b, a := range s.agents {
+		bs := s.m.BoundaryStatsAt(b)
+		st.Boundaries = append(st.Boundaries, BoundaryStatus{
+			Boundary:       b,
+			Upper:          s.m.TierName(memsim.TierID(b)),
+			Lower:          s.m.TierName(memsim.TierID(b + 1)),
+			Promotions:     bs.Promotions,
+			Demotions:      bs.Demotions,
+			ShadowDiscards: bs.ShadowDiscards,
+			Threshold:      a.threshold,
+			Decisions:      a.Decisions(),
+			Degraded:       a.degraded,
+		})
+	}
+	return st
 }
 
 // machineStats leads every /stats payload: the machine counters all

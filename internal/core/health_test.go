@@ -26,7 +26,9 @@ type lifecycleCase struct {
 }
 
 // lifecycleCases builds one fresh instance of each online runtime, with
-// pol applied to every agent's policy config.
+// pol applied to every agent's policy config. System runs twice: on the
+// two-tier machine and, as "TieredSystem", on a 3-tier chain with one
+// agent per boundary.
 func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
 	t.Helper()
 	const ps = 64 * 1024
@@ -40,7 +42,7 @@ func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
 	multi := NewMultiSystem(multiCfg)
 	tiCfg := testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)
 	pol(&tiCfg.Policy)
-	ti := NewTieredSystem(tiCfg)
+	ti := NewSystem(tiCfg)
 	underLock := func(mu sync.Locker) func(func()) {
 		return func(f func()) {
 			mu.Lock()

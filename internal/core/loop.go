@@ -15,10 +15,7 @@ import (
 // loopConfig is what a runtime hands its control loop: the per-runtime
 // parts of an otherwise shared lifecycle.
 type loopConfig struct {
-	// prefix names the liveness series ("artmem_" or "artmem_tiered_"),
-	// so each daemon mode keeps its metric names.
-	prefix string
-	tel    *telemetry.Set
+	tel *telemetry.Set
 	// injector is the runtime's fault injector, nil when fault-free.
 	injector *faultinject.Injector
 	// lock is held around every pass and every degraded read: the
@@ -33,8 +30,8 @@ type loopConfig struct {
 	samplingInterval, migrationInterval, watchdogInterval time.Duration
 }
 
-// controlLoop is the one control runtime behind System, MultiSystem
-// and TieredSystem, after the paper's §4.4 architecture: one sampling
+// controlLoop is the one control runtime behind System and
+// MultiSystem, after the paper's §4.4 architecture: one sampling
 // thread (ksampled) and one migration thread (kmigrated) serve every
 // agent of the runtime, and a watchdog observes both. It owns the
 // lifecycle, panic recovery, busy accounting, liveness counters,
@@ -66,7 +63,7 @@ type controlLoop struct {
 }
 
 // newControlLoop applies the interval defaults and registers the six
-// liveness counters under c.prefix.
+// artmem_ liveness counters.
 func newControlLoop(c loopConfig) *controlLoop {
 	if c.samplingInterval == 0 {
 		c.samplingInterval = 2 * time.Millisecond
@@ -79,17 +76,17 @@ func newControlLoop(c loopConfig) *controlLoop {
 	}
 	l := &controlLoop{loopConfig: c}
 	reg := c.tel.Registry
-	l.sampleBeats = reg.Counter(c.prefix+"sampling_beats_total",
+	l.sampleBeats = reg.Counter("artmem_sampling_beats_total",
 		"Completed sampling-thread iterations (ksampled heartbeats).")
-	l.migrateBeats = reg.Counter(c.prefix+"migration_beats_total",
+	l.migrateBeats = reg.Counter("artmem_migration_beats_total",
 		"Completed migration-thread iterations (kmigrated heartbeats).")
-	l.sampleStalls = reg.Counter(c.prefix+"sampling_stalls_total",
+	l.sampleStalls = reg.Counter("artmem_sampling_stalls_total",
 		"Watchdog intervals in which the sampling thread made no progress.")
-	l.migrateStalls = reg.Counter(c.prefix+"migration_stalls_total",
+	l.migrateStalls = reg.Counter("artmem_migration_stalls_total",
 		"Watchdog intervals in which the migration thread made no progress.")
-	l.panics = reg.Counter(c.prefix+"worker_panics_total",
+	l.panics = reg.Counter("artmem_worker_panics_total",
 		"Recovered panics in the worker threads.")
-	l.ctlBusy = reg.Counter(c.prefix+"control_busy_ns_total",
+	l.ctlBusy = reg.Counter("artmem_control_busy_ns_total",
 		"Wall nanoseconds the control loop held the system lock (sampling drains, migration passes) — the serve layer's migration-stall attribution source.")
 	return l
 }

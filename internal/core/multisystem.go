@@ -128,7 +128,6 @@ func NewMultiSystem(cfg MultiSystemConfig) *MultiSystem {
 		}
 	}
 	s.controlLoop = newControlLoop(loopConfig{
-		prefix:            "artmem_",
 		tel:               tel,
 		injector:          inj,
 		lock:              &s.mu,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"artmem/internal/lru"
@@ -59,23 +60,30 @@ func (s *System) lockedCounter(name, help string, read func() uint64, labels ...
 // registerMachineMetrics registers the machine-level series — tier
 // occupancy, machine counters, virtual clock, latency histogram — onto
 // l's registry. Shared by System and MultiSystem so single- and
-// multi-tenant daemons expose the same machine surface.
+// multi-tenant daemons expose the same machine surface. Occupancy is
+// labelled fast/slow on a two-tier machine (artmon's classic panel
+// reads those labels) and by chain tier name on longer chains; the
+// access split stays fast (tier 0) against slow (every tier below).
 func registerMachineMetrics(l lockedRegistrar, m *memsim.Machine) {
-	tierLabel := [2]telemetry.Label{telemetry.L("tier", "fast"), telemetry.L("tier", "slow")}
-	for _, t := range []memsim.TierID{memsim.Fast, memsim.Slow} {
-		t := t
+	fast, slow := telemetry.L("tier", "fast"), telemetry.L("tier", "slow")
+	for t := 0; t < m.Tiers(); t++ {
+		t := memsim.TierID(t)
+		lbl := telemetry.L("tier", m.TierName(t))
+		if m.Tiers() == 2 {
+			lbl = [2]telemetry.Label{fast, slow}[t]
+		}
 		l.gauge("artmem_tier_pages",
 			"Pages currently resident per tier.",
-			func() float64 { return float64(m.UsedPages(t)) }, tierLabel[t])
+			func() float64 { return float64(m.UsedPages(t)) }, lbl)
 		l.gauge("artmem_tier_capacity_pages",
 			"Tier capacity in pages.",
-			func() float64 { return float64(m.CapacityPages(t)) }, tierLabel[t])
+			func() float64 { return float64(m.CapacityPages(t)) }, lbl)
 	}
 	l.counter("artmem_accesses_total",
 		"Cache-missing accesses served per tier.",
-		func() uint64 { return m.Counters().FastAccesses }, tierLabel[memsim.Fast])
+		func() uint64 { return m.Counters().FastAccesses }, fast)
 	l.counter("artmem_accesses_total", "",
-		func() uint64 { return m.Counters().SlowAccesses }, tierLabel[memsim.Slow])
+		func() uint64 { return m.Counters().SlowAccesses }, slow)
 	l.counter("artmem_cache_hits_total",
 		"Accesses absorbed by the CPU cache model.",
 		func() uint64 { return m.Counters().CacheHits })
@@ -112,13 +120,60 @@ func registerMachineMetrics(l lockedRegistrar, m *memsim.Machine) {
 		})
 }
 
+// registerChainMetrics registers the per-tier and per-boundary series
+// of a chain machine on top of registerMachineMetrics: the tier index,
+// shadow frames, and per-tier accesses, the per-boundary migration
+// totals, and the shadow transaction counters. Tier labels carry the
+// chain tier names (e.g. "DRAM", "CXL", "PM"); artmem_tier_index orders
+// them for dashboards that cannot assume name semantics.
+func registerChainMetrics(l lockedRegistrar, m *memsim.Machine) {
+	for t := 0; t < m.Tiers(); t++ {
+		t := memsim.TierID(t)
+		lbl := telemetry.L("tier", m.TierName(t))
+		l.reg.GaugeFunc("artmem_tier_index",
+			"Position of the tier in the chain (0 = fastest); orders tier-labelled series.",
+			func() float64 { return float64(t) }, lbl)
+		l.gauge("artmem_tier_shadow_pages",
+			"Reclaimable shadow frames held per tier (non-exclusive mode).",
+			func() float64 { return float64(m.ShadowPages(t)) }, lbl)
+		l.counter("artmem_tier_accesses_total",
+			"Cache-missing accesses served per tier.",
+			func() uint64 { return m.TierAccesses(t) }, lbl)
+	}
+	for b := 0; b < m.NumBoundaries(); b++ {
+		b := b
+		lbl := telemetry.L("boundary",
+			fmt.Sprintf("%s|%s", m.TierName(memsim.TierID(b)), m.TierName(memsim.TierID(b+1))))
+		l.counter("artmem_boundary_promotions_total",
+			"Promotions across each tier boundary (into the upper tier).",
+			func() uint64 { return m.BoundaryStatsAt(b).Promotions }, lbl)
+		l.counter("artmem_boundary_demotions_total",
+			"Demotions across each tier boundary (into the lower tier).",
+			func() uint64 { return m.BoundaryStatsAt(b).Demotions }, lbl)
+		l.counter("artmem_boundary_shadow_discards_total",
+			"Demotions completed as free discards onto a clean shadow copy.",
+			func() uint64 { return m.BoundaryStatsAt(b).ShadowDiscards }, lbl)
+	}
+	l.counter("artmem_shadow_invalidates_total",
+		"Shadow copies invalidated by writes to the promoted page.",
+		func() uint64 { return m.Counters().ShadowInvalidates })
+	l.counter("artmem_shadow_reclaims_total",
+		"Shadow frames reclaimed under capacity pressure.",
+		func() uint64 { return m.Counters().ShadowReclaims })
+}
+
 // registerMetrics instruments every layer of the stack onto the
-// registry. Called once from NewSystem, after the policy attached.
+// registry. Called once from NewSystem, after the agents attached. The
+// per-agent series (pebs, lru, rl) are boundary 0's agent's; a chain
+// adds the tier- and boundary-labelled series of registerChainMetrics.
 func (s *System) registerMetrics() {
 	pol := s.pol
 
 	// --- memsim: tier occupancy, machine counters, virtual clock ---
 	registerMachineMetrics(lockedRegistrar{&s.mu, s.tel.Registry}, s.m)
+	if len(s.agents) > 1 {
+		registerChainMetrics(lockedRegistrar{&s.mu, s.tel.Registry}, s.m)
+	}
 
 	// --- pebs: sampling substrate ---
 	s.lockedCounter("artmem_pebs_samples_total",

@@ -117,22 +117,23 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 }
 
 // TestLifecycleMetricNamesPinned pins the six liveness series of every
-// online runtime: name, prefix, type, and the empty label set.
-// Dashboards and the serve layer's stall attribution read them by name,
-// and the per-runtime prefix keeps each daemon mode's series distinct.
+// online runtime: name, type, and the empty label set. Dashboards and
+// the serve layer's stall attribution read them by name, so a System
+// on a 3-tier chain ("TieredSystem") serves the same artmem_ names as
+// the two-tier one.
 func TestLifecycleMetricNamesPinned(t *testing.T) {
 	for _, rt := range []struct {
-		name, prefix string
-		tel          func() *telemetry.Set
+		name string
+		tel  func() *telemetry.Set
 	}{
-		{"System", "artmem_", func() *telemetry.Set {
+		{"System", func() *telemetry.Set {
 			return NewSystem(testSystemConfig()).Telemetry()
 		}},
-		{"MultiSystem", "artmem_", func() *telemetry.Set {
+		{"MultiSystem", func() *telemetry.Set {
 			return NewMultiSystem(testMultiConfig()).Telemetry()
 		}},
-		{"TieredSystem", "artmem_tiered_", func() *telemetry.Set {
-			return NewTieredSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)).Telemetry()
+		{"TieredSystem", func() *telemetry.Set {
+			return NewSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)).Telemetry()
 		}},
 	} {
 		t.Run(rt.name, func(t *testing.T) {
@@ -147,7 +148,7 @@ func TestLifecycleMetricNamesPinned(t *testing.T) {
 				"sampling_stalls_total", "migration_stalls_total",
 				"worker_panics_total", "control_busy_ns_total",
 			} {
-				name := rt.prefix + series
+				name := "artmem_" + series
 				if _, ok := snap[name]; !ok {
 					t.Errorf("snapshot missing unlabelled series %s", name)
 				}

@@ -10,7 +10,8 @@ import (
 	"artmem/internal/tier"
 )
 
-func testTieredConfig(t *testing.T, spec string, nonExclusive bool) TieredSystemConfig {
+// testTieredConfig is testSystemConfig on the chain spec.
+func testTieredConfig(t *testing.T, spec string, nonExclusive bool) SystemConfig {
 	t.Helper()
 	ch, err := tier.ParseChain(spec)
 	if err != nil {
@@ -20,7 +21,7 @@ func testTieredConfig(t *testing.T, spec string, nonExclusive bool) TieredSystem
 	mcfg.CacheLines = 0
 	mcfg.Chain = ch
 	mcfg.NonExclusive = nonExclusive
-	return TieredSystemConfig{
+	return SystemConfig{
 		Machine:           mcfg,
 		Policy:            Config{SamplePeriod: 1},
 		SamplingInterval:  500 * time.Microsecond,
@@ -29,7 +30,7 @@ func testTieredConfig(t *testing.T, spec string, nonExclusive bool) TieredSystem
 }
 
 func TestTieredSystemStartStopIdempotent(t *testing.T) {
-	s := NewTieredSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false))
+	s := NewSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false))
 	s.Start()
 	s.Start() // no-op
 	s.Stop()
@@ -38,7 +39,7 @@ func TestTieredSystemStartStopIdempotent(t *testing.T) {
 
 // tieredTick drives one sampling + decision period synchronously, the
 // way the background threads would, without real timers.
-func tieredTick(s *TieredSystem) {
+func tieredTick(s *System) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.samplePass()
@@ -50,7 +51,7 @@ func tieredTick(s *TieredSystem) {
 // hot set up the chain — both boundaries see migrations, and hot pages
 // end above where first touch placed them.
 func TestTieredSystemRelaysHotPages(t *testing.T) {
-	s := NewTieredSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false))
+	s := NewSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false))
 	if s.NumBoundaries() != 2 {
 		t.Fatalf("boundaries %d, want 2", s.NumBoundaries())
 	}
@@ -93,7 +94,7 @@ func TestTieredSystemRelaysHotPages(t *testing.T) {
 func TestTieredBoundaryBudgetCapsMigrations(t *testing.T) {
 	cfg := testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)
 	cfg.BoundaryBudget = 2
-	s := NewTieredSystem(cfg)
+	s := NewSystem(cfg)
 	const ps = 64 * 1024
 	for p := uint64(0); p < 64; p++ {
 		s.Access(p*ps, false)
@@ -121,7 +122,7 @@ func TestTieredBoundaryBudgetCapsMigrations(t *testing.T) {
 // full runtime: agents promote and demote with shadows live, and the
 // machine invariants (which recount shadow frames) hold throughout.
 func TestTieredNonExclusiveRunsClean(t *testing.T) {
-	s := NewTieredSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", true))
+	s := NewSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", true))
 	const ps = 64 * 1024
 	for p := uint64(0); p < 64; p++ {
 		s.Access(p*ps, false)
@@ -141,13 +142,13 @@ func TestTieredNonExclusiveRunsClean(t *testing.T) {
 }
 
 // TestTieredMetricsSchemaPinned pins the tier-labelled telemetry
-// schema (ISSUE 10 satellite): the exact set of artmem_tier_*,
+// schema: the exact set of artmem_tier_*,
 // artmem_boundary_*, and artmem_shadow_* series a 3-tier non-exclusive
 // daemon exposes, in both the Prometheus text and JSON snapshot
 // expositions. Series disappearing or labels drifting must fail
 // loudly; additions extend this list deliberately.
 func TestTieredMetricsSchemaPinned(t *testing.T) {
-	s := NewTieredSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", true))
+	s := NewSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", true))
 	for p := uint64(0); p < 64; p++ {
 		s.Access(p*64*1024, false)
 	}
@@ -202,8 +203,8 @@ func TestTieredMetricsSchemaPinned(t *testing.T) {
 		if strings.HasPrefix(key, "artmem_tier_") ||
 			strings.HasPrefix(key, "artmem_boundary_") ||
 			strings.HasPrefix(key, "artmem_shadow_") {
-			if strings.HasPrefix(key, "artmem_tiered_") {
-				continue // runtime liveness counters, pinned elsewhere
+			if key == "artmem_tier_full_stops_total" {
+				continue // boundary 0's resilience counter, pinned elsewhere
 			}
 			got = append(got, key)
 		}
@@ -220,7 +221,7 @@ func TestTieredMetricsSchemaPinned(t *testing.T) {
 // TestTieredHealthDegradedAggregation: Health.Degraded ORs over all
 // boundary agents.
 func TestTieredHealth(t *testing.T) {
-	s := NewTieredSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false))
+	s := NewSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false))
 	h := s.Health()
 	if h.Degraded {
 		t.Fatal("fresh system reports degraded")

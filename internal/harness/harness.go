@@ -10,6 +10,8 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"artmem/internal/faultinject"
 	"artmem/internal/memsim"
@@ -34,6 +36,31 @@ func (r Ratio) String() string { return fmt.Sprintf("%d:%d", r.Fast, r.Slow) }
 // ratio.
 func (r Ratio) FastBytes(footprint int64) int64 {
 	return footprint * int64(r.Fast) / int64(r.Fast+r.Slow)
+}
+
+// maxRatioShare bounds each side of a parsed ratio so footprint ×
+// share cannot overflow int64.
+const maxRatioShare = 1 << 16
+
+// ParseRatio reads a "DRAM:PM" ratio flag, the one rule every command
+// taking -ratio applies. The DRAM share must be at least 1, since the
+// fast tier needs a page; a PM share of 0 runs DRAM only. Both shares
+// are at most 65536, and nothing may trail the second number.
+func ParseRatio(s string) (Ratio, error) {
+	var r Ratio
+	f, sl, ok := strings.Cut(s, ":")
+	var err error
+	if ok {
+		r.Fast, err = strconv.Atoi(f)
+		if err == nil {
+			r.Slow, err = strconv.Atoi(sl)
+		}
+	}
+	if !ok || err != nil || r.Fast < 1 || r.Slow < 0 || r.Fast > maxRatioShare || r.Slow > maxRatioShare {
+		return Ratio{}, fmt.Errorf("bad -ratio %q: want DRAM:PM with 1 <= DRAM <= %d and 0 <= PM <= %d",
+			s, maxRatioShare, maxRatioShare)
+	}
+	return r, nil
 }
 
 // PaperRatios are the six configurations of Figure 7.

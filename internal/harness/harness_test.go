@@ -14,6 +14,38 @@ func TestRatioString(t *testing.T) {
 	}
 }
 
+// TestParseRatio pins the -ratio rule of artmemd, masim and artrace:
+// a DRAM share of at least 1, a PM share of at least 0 (1:0 is DRAM
+// only), both at most 65536, and nothing trailing.
+func TestParseRatio(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Ratio
+		ok   bool
+	}{
+		{"1:4", Ratio{1, 4}, true},
+		{"1:0", Ratio{1, 0}, true},
+		{"2:1", Ratio{2, 1}, true},
+		{"65536:65536", Ratio{65536, 65536}, true},
+		{"0:0", Ratio{}, false},
+		{"0:4", Ratio{}, false},
+		{"1:-1", Ratio{}, false},
+		{"1:-2", Ratio{}, false},
+		{"-1:4", Ratio{}, false},
+		{"1:4x", Ratio{}, false},
+		{"1", Ratio{}, false},
+		{"", Ratio{}, false},
+		{"1:4:2", Ratio{}, false},
+		{"1:100000", Ratio{}, false},
+		{"100000:1", Ratio{}, false},
+	} {
+		got, err := ParseRatio(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseRatio(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
 func TestRatioFastBytes(t *testing.T) {
 	cases := []struct {
 		r    Ratio

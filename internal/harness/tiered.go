@@ -34,7 +34,7 @@ type TierStats struct {
 // TierChain) with one two-tier policy agent per tier boundary,
 // decomposed through a memsim.BoundaryHub. mk constructs boundary b's
 // agent — callers decorrelate seeds per boundary there, the way
-// core.TieredSystem gives boundary b Seed+b. The replay loop, purity
+// core.System gives a chain's boundary b Seed+b. The replay loop, purity
 // contract, and Result semantics match Run; Result.Tiers additionally
 // carries the per-tier occupancy and per-boundary migration outcome.
 //
