@@ -83,8 +83,11 @@ func checkModeFlags(mode string, set []string) error {
 // checkpoint holds one agent's tables, and several agents would
 // journal the same pages twice.
 func checkChainFlags(spec string, tiers int, set []string) error {
+	if tiers <= 2 {
+		return nil
+	}
 	for _, name := range []string{"checkpoint", "pagetrace"} {
-		if tiers > 2 && slices.Contains(set, name) {
+		if slices.Contains(set, name) {
 			return fmt.Errorf("flag -%s needs a two-tier machine; -tiers %s has %d tiers", name, spec, tiers)
 		}
 	}
