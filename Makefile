@@ -3,7 +3,7 @@
 
 SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build test check race vet docs-check bench-baseline benchdiff loadtest
+.PHONY: all build test check race vet docs-check bench-baseline benchdiff loadtest perf
 
 all: build
 
@@ -61,3 +61,11 @@ benchdiff:
 	go run ./cmd/artbench -all -quick -parallel 4 -outdir bench_results
 	go run ./cmd/artdiff bench -threshold 0.10 \
 		bench_results/BENCH_baseline.json bench_results/BENCH_$(SHA).json
+
+# Perf trajectory: runs perfbench (perfbench/run.sh) for its four
+# workloads at --trace 0 and --trace 1 and appends one JSON line per run,
+# host metadata included, to bench_results/PERF_<sha>.json. Commit that
+# file as the before/after of a speed claim. Takes about 4 minutes of
+# wall clock, so it is not part of `make check`.
+perf:
+	bash scripts/perf.sh

@@ -42,21 +42,12 @@ func TestPushHeadOrder(t *testing.T) {
 	l.PushHead(FastActive, 2)
 	l.PushHead(FastActive, 3)
 	// Head-to-tail order: 3, 2, 1.
-	got := l.CollectHead(FastActive, 10)
-	want := []memsim.PageID{3, 2, 1}
-	assertPages(t, got, want)
+	assertPages(t, walkHead(l, FastActive), []memsim.PageID{3, 2, 1})
 	gotT := l.CollectTail(FastActive, 10)
 	assertPages(t, gotT, []memsim.PageID{1, 2, 3})
 	if l.Head(FastActive) != 3 || l.Tail(FastActive) != 1 {
 		t.Errorf("head/tail = %d/%d", l.Head(FastActive), l.Tail(FastActive))
 	}
-}
-
-func TestPushTailOrder(t *testing.T) {
-	l := New(10)
-	l.PushTail(SlowInactive, 1)
-	l.PushTail(SlowInactive, 2)
-	assertPages(t, l.CollectHead(SlowInactive, 10), []memsim.PageID{1, 2})
 }
 
 func TestMoveBetweenLists(t *testing.T) {
@@ -76,13 +67,11 @@ func TestMoveBetweenLists(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	l := New(10)
-	for _, p := range []memsim.PageID{1, 2, 3} {
-		l.PushTail(FastInactive, p)
-	}
+	pushHeads(l, FastInactive, 1, 2, 3)
 	l.Remove(2) // middle
-	assertPages(t, l.CollectHead(FastInactive, 10), []memsim.PageID{1, 3})
+	assertPages(t, walkHead(l, FastInactive), []memsim.PageID{1, 3})
 	l.Remove(1) // head
-	assertPages(t, l.CollectHead(FastInactive, 10), []memsim.PageID{3})
+	assertPages(t, walkHead(l, FastInactive), []memsim.PageID{3})
 	l.Remove(3) // tail, single element
 	if l.Len(FastInactive) != 0 || l.Head(FastInactive) != memsim.NoPage ||
 		l.Tail(FastInactive) != memsim.NoPage {
@@ -101,11 +90,6 @@ func TestPushNoneRemoves(t *testing.T) {
 	if l.ListOf(0) != None || l.Len(FastActive) != 0 {
 		t.Error("PushHead(None) did not remove")
 	}
-	l.PushTail(FastActive, 1)
-	l.PushTail(None, 1)
-	if l.ListOf(1) != None {
-		t.Error("PushTail(None) did not remove")
-	}
 }
 
 func TestFromTailEarlyStop(t *testing.T) {
@@ -123,7 +107,7 @@ func TestFromTailEarlyStop(t *testing.T) {
 	}
 	// Bounded by n.
 	visited = 0
-	l.FromHead(FastActive, 3, func(memsim.PageID) bool { visited++; return true })
+	l.FromTail(FastActive, 3, func(memsim.PageID) bool { visited++; return true })
 	if visited != 3 {
 		t.Errorf("visited %d, want 3", visited)
 	}
@@ -132,10 +116,8 @@ func TestFromTailEarlyStop(t *testing.T) {
 func TestAgeSecondChance(t *testing.T) {
 	l := New(8)
 	// Active: pages 0,1 (0 referenced). Inactive: pages 2,3 (3 referenced).
-	l.PushTail(FastActive, 0)
-	l.PushTail(FastActive, 1)
-	l.PushTail(FastInactive, 2)
-	l.PushTail(FastInactive, 3)
+	pushHeads(l, FastActive, 0, 1)
+	pushHeads(l, FastInactive, 2, 3)
 	refd := map[memsim.PageID]bool{0: true, 3: true}
 	l.Age(memsim.Fast, 10, func(p memsim.PageID) bool {
 		r := refd[p]
@@ -158,7 +140,7 @@ func TestAgeSecondChance(t *testing.T) {
 
 func TestAgeDoesNotTouchOtherTier(t *testing.T) {
 	l := New(4)
-	l.PushTail(SlowActive, 0)
+	l.PushHead(SlowActive, 0)
 	l.Age(memsim.Fast, 10, func(memsim.PageID) bool { return false })
 	if l.ListOf(0) != SlowActive {
 		t.Errorf("aging fast tier moved slow page to %v", l.ListOf(0))
@@ -175,22 +157,15 @@ func TestListInvariantsProperty(t *testing.T) {
 		for _, op := range ops {
 			p := memsim.PageID(op % n)
 			id := ListID(op / n % uint16(numLists))
-			switch (op / (n * uint16(numLists))) % 3 {
-			case 0:
+			if (op/(n*uint16(numLists)))%2 == 0 {
 				l.PushHead(id, p)
-			case 1:
-				l.PushTail(id, p)
-			case 2:
+			} else {
 				l.Remove(p)
 			}
 		}
 		total := 0
 		for id := FastActive; id < numLists; id++ {
-			var fwd []memsim.PageID
-			l.FromHead(id, n+1, func(p memsim.PageID) bool {
-				fwd = append(fwd, p)
-				return true
-			})
+			fwd := walkHead(l, id)
 			if len(fwd) != l.Len(id) {
 				return false
 			}
@@ -223,6 +198,22 @@ func TestListInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// walkHead returns list id head→tail, walked with Head and Next.
+func walkHead(l *PageLists, id ListID) []memsim.PageID {
+	var out []memsim.PageID
+	for p := l.Head(id); p != memsim.NoPage; p = l.Next(p) {
+		out = append(out, p)
+	}
+	return out
+}
+
+// pushHeads builds list id with pages head→tail in the order given.
+func pushHeads(l *PageLists, id ListID, pages ...memsim.PageID) {
+	for i := len(pages) - 1; i >= 0; i-- {
+		l.PushHead(id, pages[i])
 	}
 }
 
@@ -260,9 +251,8 @@ func TestTransitionHook(t *testing.T) {
 
 	l.PushHead(FastActive, 1)   // none -> fast-active
 	l.PushHead(FastActive, 1)   // refresh: silent
-	l.PushTail(FastActive, 1)   // refresh via tail: silent
 	l.PushHead(FastInactive, 1) // fast-active -> fast-inactive
-	l.PushTail(SlowActive, 1)   // fast-inactive -> slow-active
+	l.PushHead(SlowActive, 1)   // fast-inactive -> slow-active
 	l.Remove(1)                 // slow-active -> none
 	l.Remove(1)                 // unlisted: silent
 	l.PushHead(None, 2)         // unlisted push-to-none: silent

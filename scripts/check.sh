@@ -32,7 +32,11 @@
 #   9. perfbench       vet + tests of the nested benchmark module, which
 #                      the root ./... patterns skip but which calls the
 #                      harness, core and serve APIs.
-#  10. docs-check      doc comments on every package and exported
+#  10. microbenchmarks every Go benchmark under internal/ run once
+#                      (-benchtime 1x), so the kernel benchmarks (lru
+#                      Age, memsim access hot path, serve codec, rl,
+#                      pebs, ema, ...) keep compiling and running.
+#  11. docs-check      doc comments on every package and exported
 #                      identifier, live relative links and #fragments in
 #                      the Markdown docs, and DESIGN.md section refs
 #                      (cmd/docscheck; the same command CI's docs-check
@@ -68,6 +72,9 @@ go run ./cmd/artbench -exp tiers -quick -parallel 4 -outdir bench_results
 
 echo "== perfbench module (go vet + go test)"
 (cd perfbench && go vet ./... && go test ./...)
+
+echo "== microbenchmark smoke (go test -run '^\$' -bench . -benchtime 1x ./internal/...)"
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 echo "== make docs-check"
 make docs-check
