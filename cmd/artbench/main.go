@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -96,7 +97,7 @@ func main() {
 	// experiments compute once.
 	var runCache *sched.Cache
 	if !*nocache {
-		runCache = sched.NewCache(cacheDir(*cache, *outdir))
+		runCache = sched.NewCache(cacheDir(*cache, *outdir, os.Stderr))
 	}
 	reg := telemetry.NewRegistry()
 	o.Sched = sched.New(sched.Config{
@@ -162,13 +163,15 @@ func main() {
 // where the stamp hashes the simulator source (so any code change cold-
 // starts the cache). Returns "" — memory-only caching — when the disk
 // layer is off, outdir is disabled, or the source tree is not visible
-// from the working directory.
-func cacheDir(enabled bool, outdir string) string {
+// from the working directory; the last case says so on warn, since a
+// rerun then recomputes every cell.
+func cacheDir(enabled bool, outdir string, warn io.Writer) string {
 	if !enabled || outdir == "" {
 		return ""
 	}
 	stamp, err := sched.SourceStamp("internal")
 	if err != nil {
+		fmt.Fprintf(warn, "artbench: disk cache off, every cell recomputes (%v); run from the repository root to reuse cached cells\n", err)
 		return ""
 	}
 	return filepath.Join(outdir, "cache", stamp)

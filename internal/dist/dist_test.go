@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -240,6 +241,48 @@ func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+// BenchmarkUint64n draws from a non-power-of-two range, the
+// multiply-shift path.
+func BenchmarkUint64n(b *testing.B) {
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		_ = r.Uint64n(35328)
+	}
+}
+
+// portableMul64 is the 128-bit product from 32-bit halves, the
+// reference for the bits.Mul64 intrinsic Uint64n uses.
+func portableMul64(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+func TestMul64MatchesPortable(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
+	check := func(a, b uint64) {
+		hi, lo := bits.Mul64(a, b)
+		if whi, wlo := portableMul64(a, b); hi != whi || lo != wlo {
+			t.Errorf("Mul64(%#x, %#x) = %#x:%#x, portable %#x:%#x", a, b, hi, lo, whi, wlo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := NewRNG(9)
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64(), r.Uint64()>>r.Intn(64))
 	}
 }
 

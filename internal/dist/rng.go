@@ -6,6 +6,8 @@
 // every experiment in the repository is reproducible bit-for-bit.
 package dist
 
+import "math/bits"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256**). It is not safe for concurrent use; give each goroutine
 // its own instance (see Split).
@@ -81,24 +83,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	// Multiply-shift with rejection to remove modulo bias.
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= n || lo >= (-n)%n {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).

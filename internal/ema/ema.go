@@ -12,7 +12,11 @@
 // agent refines it.
 package ema
 
-import "artmem/internal/memsim"
+import (
+	"math/bits"
+
+	"artmem/internal/memsim"
+)
 
 // NumBins is the number of exponential bins. Bin 0 holds never-sampled
 // pages; bin i (i ≥ 1) holds pages with count in [2^(i-1), 2^i). 32 bins
@@ -21,18 +25,8 @@ const NumBins = 32
 
 // BinOf returns the bin index for an access count.
 func BinOf(count uint32) int {
-	if count == 0 {
-		return 0
-	}
-	b := 1
-	for count > 1 {
-		count >>= 1
-		b++
-	}
-	if b >= NumBins {
-		return NumBins - 1
-	}
-	return b
+	// Bin b ≥ 1 holds counts in [2^(b-1), 2^b): the count's bit length.
+	return min(bits.Len32(count), NumBins-1)
 }
 
 // BinLower returns the smallest access count that falls in bin b

@@ -1,6 +1,7 @@
 package ema
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,43 @@ func TestBinOf(t *testing.T) {
 	// Saturation at the top bin.
 	if got := BinOf(^uint32(0)); got != NumBins-1 {
 		t.Errorf("BinOf(max) = %d, want %d", got, NumBins-1)
+	}
+}
+
+// loopBinOf is BinOf as a shift loop, the reference the bit-length
+// kernel must agree with.
+func loopBinOf(count uint32) int {
+	if count == 0 {
+		return 0
+	}
+	b := 1
+	for count > 1 {
+		count >>= 1
+		b++
+	}
+	if b >= NumBins {
+		return NumBins - 1
+	}
+	return b
+}
+
+func TestBinOfMatchesShiftLoop(t *testing.T) {
+	check := func(c uint32) {
+		if got, want := BinOf(c), loopBinOf(c); got != want {
+			t.Errorf("BinOf(%d) = %d, shift loop says %d", c, got, want)
+		}
+	}
+	check(0)
+	for i := 0; i < 32; i++ {
+		p := uint32(1) << i
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	check(^uint32(0))
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 100000; i++ {
+		check(rng.Uint32() >> rng.IntN(32))
 	}
 }
 

@@ -1,5 +1,7 @@
 package memsim
 
+import "math/bits"
+
 // cacheModel approximates a CPU last-level cache with a direct-mapped tag
 // array over 64-byte lines. An access hits when the line's tag is still
 // resident at its slot; conflicting lines evict each other, which makes
@@ -12,22 +14,50 @@ package memsim
 // state for "no events sampled (most accesses hit in the CPU cache)"
 // (paper §4.2). It deliberately stays cheap: one array read and write per
 // access.
+//
+// A slot holds a 16-bit tag, not the line, so the array of the default
+// 2^18 slots is 512 KiB and stays in the host's L2 cache. The tag is
+// exact: with 2^s slots a line's slot is (line·K) mod 2^s for an odd K,
+// a bijection on the line's low s bits, so the slot fixes those bits and
+// the tag only has to name the rest. The tag is (line >> s) + 1, with 0
+// marking an empty slot, which holds for every line below
+// maxCacheTag·2^s; Config.Validate bounds the footprint to that many
+// lines, and Machine.Access wraps a stray address into the footprint
+// before taking its line.
 type cacheModel struct {
-	tags []uint64
-	mask uint64
+	tags  []uint16
+	mask  uint64
+	shift uint // log2(len(tags)): the line bits the slot fixes
 }
 
-// init sizes the tag array to the next power of two ≥ lines.
+// maxCacheTag is the largest tag; tag 0 marks an empty slot.
+const maxCacheTag = 1<<16 - 1
+
+// cacheSlotBits returns s for a model of the given line count: its tag
+// array has 2^s slots, the next power of two ≥ lines.
+func cacheSlotBits(lines int) uint {
+	if lines <= 1 {
+		return 0
+	}
+	return uint(bits.Len(uint(lines - 1)))
+}
+
+// slot mixes a line's bits so pages do not all map to the same
+// region of the tag array (line addresses are strongly structured). The
+// multiplier is odd, which is what makes the 16-bit tags exact.
+func (c *cacheModel) slot(line uint64) uint64 {
+	return (line * 0x9e3779b97f4a7c15) & c.mask
+}
+
+// tag returns the 16-bit tag a line stores at its slot.
+func (c *cacheModel) tag(line uint64) uint16 { return uint16(line>>c.shift) + 1 }
+
+// init sizes the tag array to the next power of two ≥ lines, every slot
+// empty.
 func (c *cacheModel) init(lines int) {
-	sz := 1
-	for sz < lines {
-		sz <<= 1
-	}
-	c.tags = make([]uint64, sz)
-	c.mask = uint64(sz - 1)
-	for i := range c.tags {
-		c.tags[i] = ^uint64(0) // invalid tag: never matches a real line
-	}
+	c.shift = cacheSlotBits(lines)
+	c.tags = make([]uint16, 1<<c.shift)
+	c.mask = uint64(len(c.tags) - 1)
 }
 
 // lookup returns true on a cache hit for the given line address and
@@ -36,14 +66,11 @@ func (c *cacheModel) lookup(line uint64) bool {
 	if c.tags == nil {
 		return false
 	}
-	// Mix the bits so pages do not all map to the same region of the tag
-	// array (line addresses are strongly structured).
-	h := line * 0x9e3779b97f4a7c15
-	slot := h & c.mask
-	if c.tags[slot] == line {
+	slot, tag := c.slot(line), c.tag(line)
+	if c.tags[slot] == tag {
 		return true
 	}
-	c.tags[slot] = line
+	c.tags[slot] = tag
 	return false
 }
 
@@ -57,20 +84,15 @@ func (c *cacheModel) evictLines(startLine uint64, n int64) {
 	}
 	for i := int64(0); i < n; i++ {
 		line := startLine + uint64(i)
-		slot := (line * 0x9e3779b97f4a7c15) & c.mask
-		if c.tags[slot] == line {
-			c.tags[slot] = ^uint64(0)
+		if slot := c.slot(line); c.tags[slot] == c.tag(line) {
+			c.tags[slot] = 0
 		}
 	}
 }
 
 // flush invalidates the whole cache. Used by tests and by workload phase
 // changes that model context switches.
-func (c *cacheModel) flush() {
-	for i := range c.tags {
-		c.tags[i] = ^uint64(0)
-	}
-}
+func (c *cacheModel) flush() { clear(c.tags) }
 
 // FlushCache invalidates the machine's CPU cache model.
 func (m *Machine) FlushCache() { m.cache.flush() }

@@ -160,6 +160,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("memsim: MigrationInterference must be in [0,1], got %g",
 			c.MigrationInterference)
 	}
+	if c.CacheLines > 0 {
+		// The cache model's 16-bit tags name a line exactly only below
+		// maxCacheTag·2^s for 2^s slots (see cacheModel).
+		s := cacheSlotBits(c.CacheLines)
+		lines := (uint64(c.NumPagesFor())*uint64(c.PageSize) + 63) >> 6
+		if limit := uint64(maxCacheTag) << s; lines > limit {
+			return fmt.Errorf("memsim: a footprint of %d lines exceeds the %d lines a %d-line cache model can tag; raise CacheLines or shrink the footprint",
+				lines, limit, 1<<s)
+		}
+	}
 	return c.Chain.Validate()
 }
 

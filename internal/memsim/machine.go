@@ -101,7 +101,8 @@ type Machine struct {
 	cfg       Config
 	pageShift uint
 	numPages  int
-	nt        int // number of tiers, len(Config.Chain)
+	addrSpan  uint64 // numPages·PageSize: Access wraps addresses into [0, addrSpan)
+	nt        int    // number of tiers, len(Config.Chain)
 
 	clock int64 // virtual time, ns
 
@@ -195,6 +196,7 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		cfg:       cfg,
 		numPages:  n,
+		addrSpan:  uint64(n) * uint64(cfg.PageSize),
 		tier:      make([]TierID, n),
 		allocated: make([]bool, n),
 		accessed:  make([]bool, n),
@@ -384,6 +386,11 @@ func (m *Machine) CapacityPages(t TierID) int { return m.cap[t] }
 // Access simulates one memory access to byte address addr and advances
 // the virtual clock. This is the simulation's hot path.
 func (m *Machine) Access(addr uint64, write bool) {
+	if addr >= m.addrSpan {
+		// The alias PageOf would pick, taken before the line too so the
+		// cache model sees only lines its tags can name.
+		addr %= m.addrSpan
+	}
 	p := m.PageOf(addr)
 	if !m.allocated[p] {
 		m.allocate(p)

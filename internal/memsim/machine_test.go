@@ -31,6 +31,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero slow read bw", func(c *Config) { c.Chain[Slow].ReadBWGBs = 0 }},
 		{"interference > 1", func(c *Config) { c.MigrationInterference = 1.5 }},
 		{"no chain", func(c *Config) { c.Chain = nil }},
+		// One slot tags 65,535 lines; the footprint has 65,536.
+		{"footprint past the cache tag bound", func(c *Config) { c.CacheLines = 1 }},
 		{"zero-capacity fast tier", func(c *Config) {
 			ps := c.PageSize
 			*c = DefaultConfig(64*ps, 0, ps)

@@ -99,7 +99,7 @@ func TestDrainOrderAcrossWrap(t *testing.T) {
 		s.OnMiss(memsim.PageID(i), memsim.Fast, false, 0)
 	}
 	s.Drain(func(Sample) {})
-	// Head is now at index 3; these five wrap around, one drops.
+	// The buffer restarts at slot 0; of these five, the last drops.
 	for i := 10; i < 15; i++ {
 		s.OnMiss(memsim.PageID(i), memsim.Fast, false, 0)
 	}

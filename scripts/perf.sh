@@ -9,11 +9,20 @@
 #   {"workload":"replay","seed":1,"seconds":25,"trace":0,"host":{...},"result":{...}}
 #
 # "host" is the benchmark's host line (CPU model, vCPUs, Go version) and
-# "result" its result object, both verbatim. <sha> is HEAD's short hash,
-# with -dirty appended when tracked files differ from HEAD. Reruns append,
-# so a file can hold several samples of one commit.
+# "result" its result object, both verbatim.
 #
-# Usage: scripts/perf.sh  (or: make perf; about 4 minutes, not part of
+# It then runs the replay loop's kernel microbenchmarks (the memsim access
+# hot path and cache lookup, the pebs drain, lru aging, the ema record,
+# the RNG's bounded draw), five counts each, and appends one line per
+# result with the same host object:
+#
+#   {"bench":"BenchmarkCacheLookup","pkg":"artmem/internal/memsim","ns_per_op":6.2,"bytes_per_op":0,"allocs_per_op":0,"host":{...}}
+#
+# <sha> is HEAD's short hash, with -dirty appended when tracked files
+# differ from HEAD. Reruns append, so a file can hold several samples of
+# one commit.
+#
+# Usage: scripts/perf.sh  (or: make perf; about 5 minutes, not part of
 # make check)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,4 +46,25 @@ for w in replay replay-chain serve serve-tenants; do
 			"$w" "$seed" "$seconds" "$trace" "$host" "$result" >>"$out"
 	done
 done
-echo "perf: appended 8 runs to $out" >&2
+
+micro='AccessHotPath|CacheLookup|SamplerDrain|Age|Record|Uint64n'
+echo "== go test -bench '$micro' -benchmem -count 5 ./internal/..." >&2
+results=$(go test -run '^$' -bench "$micro" -benchmem -count 5 ./internal/...)
+printf '%s\n' "$results" >&2
+printf '%s\n' "$results" | awk -v host="$host" '
+	/^pkg: / { pkg = $2 }
+	/^Benchmark/ {
+		ns = bytes = allocs = "null"
+		for (i = 3; i < NF; i++) {
+			if ($(i + 1) == "ns/op") ns = $i
+			if ($(i + 1) == "B/op") bytes = $i
+			if ($(i + 1) == "allocs/op") allocs = $i
+		}
+		name = $1
+		sub(/-[0-9]+$/, "", name)
+		printf "{\"bench\":\"%s\",\"pkg\":\"%s\",\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s,\"host\":%s}\n",
+			name, pkg, ns, bytes, allocs, host
+		n++
+	}
+	END { printf "perf: %d microbenchmark results\n", n > "/dev/stderr" }' >>"$out"
+echo "perf: appended 8 runs and the microbenchmarks to $out" >&2
