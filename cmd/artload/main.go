@@ -75,6 +75,10 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "print the run ledger as one JSON object on stdout (progress goes to stderr)")
 	)
 	flag.Parse()
+	if err := checkCounts(*div, *accesses, *clients, *batch, *window, *tenant, *tenants, *queue, *spanRate); err != nil {
+		fmt.Fprintln(os.Stderr, "artload:", err)
+		os.Exit(2)
+	}
 
 	// In -json mode stdout carries exactly one JSON object; everything
 	// conversational goes to stderr.
@@ -174,6 +178,36 @@ func main() {
 	if rep.Lost != 0 {
 		fatal(fmt.Errorf("%d batches lost (sent but never resolved)", rep.Lost))
 	}
+}
+
+// checkCounts rejects out-of-range numeric flags before any server or
+// client starts: -div divides the paper's footprint, so it must be at
+// least 1, and the counts whose 0 means "default" or "off" must not be
+// negative (a negative -tenant would wrap to a huge slot number).
+func checkCounts(div, accesses int64, clients, batch, window, tenant, tenants, queue, spans int) error {
+	if div < 1 {
+		return fmt.Errorf("bad -div %d: want >= 1", div)
+	}
+	if accesses < 0 {
+		return fmt.Errorf("bad -accesses %d: want >= 0", accesses)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"clients", clients},
+		{"batch", batch},
+		{"window", window},
+		{"tenant", tenant},
+		{"tenants", tenants},
+		{"queue", queue},
+		{"spans", spans},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("bad -%s %d: want >= 0", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // writeFile creates path and streams fill into it, returning the first

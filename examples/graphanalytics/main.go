@@ -39,7 +39,7 @@ func main() {
 		mk   func() policies.Policy
 	}{
 		{"Static", func() policies.Policy { return policies.NewStatic() }},
-		{"AutoNUMA", func() policies.Policy { return policies.NewAutoNUMA(policies.FaultConfig{}) }},
+		{"AutoNUMA", func() policies.Policy { return policies.NewAutoNUMA() }},
 		{"MEMTIS", func() policies.Policy { return policies.NewMEMTIS(policies.MEMTISConfig{}) }},
 		{"ArtMem", func() policies.Policy { return core.New(core.Config{}) }},
 	}

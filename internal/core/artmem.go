@@ -48,12 +48,56 @@ import (
 	"artmem/internal/telemetry"
 )
 
+// The paper fixes these parts of the agent (§5) and learns the rest; the
+// counts are scaled to the simulator's smaller pages and shorter runs
+// (DESIGN.md on count scaling).
+const (
+	// k is the access-ratio discretization: states 0..k plus the
+	// no-sample state, k+2 = 12 states in all (§5).
+	k = 10
+	// numStates counts the ratio states plus the no-sample state.
+	numStates = k + 2
+	// noSampleState is the dedicated state for empty sampling windows.
+	noSampleState = k + 1
+	// coolingSamples is the EMA cooling trigger in recorded samples
+	// (the paper's 2M, scaled).
+	coolingSamples = 500_000
+	// minThreshold is the hotness-threshold floor in per-page access
+	// counts. The paper's floor is 16 accesses per 2MB page; scaled
+	// pages aggregate far fewer accesses each, so the floor scales down
+	// with them.
+	minThreshold = 2
+	// thresholdZeroAction is the index of the 0 delta in thresholdDeltas.
+	thresholdZeroAction = 2
+
+	// migrationRetries caps per-page retries when MovePage fails
+	// transiently (memsim.ErrMigrationBusy).
+	migrationRetries = 3
+	// migrationBackoffNs is the background CPU cost charged for the
+	// first retry of a busy page; each further retry doubles it, capped
+	// at 8x.
+	migrationBackoffNs = 2000
+	// degradeAfter is the number of consecutive empty sampling windows
+	// after which the agent falls back to the heuristic
+	// capacity-threshold policy (graceful degradation: a dry signal must
+	// not leave migration steered by a stale Q-state). RL re-engages on
+	// the first window with samples.
+	degradeAfter = 8
+)
+
+// migrationPages are the selectable migration sizes in pages: 0 plus
+// eight doublings from 8 pages (16MB of 2MB pages) to 1024 pages
+// (2048MB) — nine actions (§5).
+var migrationPages = [...]int{0, 8, 16, 32, 64, 128, 256, 512, 1024}
+
+// thresholdDeltas are the selectable threshold adjustments. The paper
+// uses {−8, −4, 0, +4, +8} against its 16-access floor; scaled to the
+// simulator's floor of 2 this is {−2, −1, 0, +1, +2}.
+var thresholdDeltas = [...]int{-2, -1, 0, 1, 2}
+
 // Config parameterizes ArtMem. The zero value is completed to the
 // paper's tuned configuration by defaults().
 type Config struct {
-	// K is the access-ratio discretization: states 0..K plus the
-	// no-sample state. The paper uses K = 10 (12 states total, §5).
-	K int
 	// Beta is the desired fast-tier access ratio in state units; the
 	// paper finds 8–10 optimal and we default to 9 (§6.3.7).
 	Beta float64
@@ -66,27 +110,10 @@ type Config struct {
 	// The paper uses 10s against minutes-long runs; scaled to the
 	// simulator's second-long runs this is 10ms (see DESIGN.md).
 	TickInterval int64
-	// SamplePeriod and CoolingSamples configure PEBS sampling and EMA
-	// cooling (paper: 200 and 2M; scaled defaults 5 and 500000).
-	SamplePeriod   uint64
-	CoolingSamples uint64
-	// TargetSamplesPerPeriod, when non-zero, enables the paper's dynamic
-	// sampling-period adjustment (§6.4: "We dynamically adjust the
-	// sampling period to control the sampling overhead"): the period is
-	// raised when a decision interval drains more than twice the target
-	// and lowered when it drains less than half, within
-	// [SamplePeriod, 8×SamplePeriod].
-	TargetSamplesPerPeriod int
-	// MinThreshold is the hotness-threshold floor in per-page access
-	// counts (paper §5: 16).
-	MinThreshold uint32
-	// MigrationPages are the selectable migration sizes in pages. Nil
-	// uses the paper's ladder {0, 8, 16, …, 1024} (16MB…2048MB of 2MB
-	// pages).
-	MigrationPages []int
-	// ThresholdDeltas are the selectable threshold adjustments. Nil uses
-	// the paper's {−8, −4, 0, +4, +8}.
-	ThresholdDeltas []int
+	// SamplePeriod is the PEBS sampling period (paper: 200; scaled
+	// default 5). The paper's dynamic period adjustment (§6.4) is not
+	// modelled: the period stays fixed for the run.
+	SamplePeriod uint64
 	// Seed drives exploration.
 	Seed uint64
 
@@ -111,31 +138,9 @@ type Config struct {
 	// LatencyReward switches the reward to the approximated
 	// memory-latency signal (§6.3.4).
 	LatencyReward bool
-
-	// MigrationRetries caps per-page retries when MovePage fails
-	// transiently (memsim.ErrMigrationBusy). 0 uses the default (3);
-	// negative disables retries (fail fast, skip the page).
-	MigrationRetries int
-	// MigrationBackoffNs is the background CPU cost charged for the
-	// first retry of a busy page; each further retry doubles it, capped
-	// at 8x. 0 uses the default (2000ns).
-	MigrationBackoffNs float64
-	// DegradeAfter is the number of consecutive empty sampling windows
-	// after which the agent falls back to the heuristic
-	// capacity-threshold policy (graceful degradation: a dry signal must
-	// not leave migration steered by a stale Q-state). RL re-engages on
-	// the first window with samples. 0 uses the default (8); negative
-	// disables degradation.
-	DegradeAfter int
-
-	// Debug, when non-nil, receives a per-tick trace line (printf-style).
-	Debug func(format string, args ...any)
 }
 
 func (c *Config) defaults() {
-	if c.K == 0 {
-		c.K = 10
-	}
 	if c.Beta == 0 {
 		c.Beta = 9
 	}
@@ -153,34 +158,6 @@ func (c *Config) defaults() {
 	}
 	if c.SamplePeriod == 0 {
 		c.SamplePeriod = 5
-	}
-	if c.CoolingSamples == 0 {
-		c.CoolingSamples = 500_000
-	}
-	if c.MinThreshold == 0 {
-		// The paper's floor is 16 accesses per 2MB page. Scaled pages
-		// aggregate far fewer accesses each, so the floor scales down
-		// with them (see DESIGN.md on count scaling).
-		c.MinThreshold = 2
-	}
-	if c.MigrationPages == nil {
-		// 0 plus eight doublings from 8 pages (16MB of 2MB pages) to
-		// 1024 pages (2048MB) — nine actions (§5).
-		c.MigrationPages = []int{0, 8, 16, 32, 64, 128, 256, 512, 1024}
-	}
-	if c.ThresholdDeltas == nil {
-		// The paper uses {−8, −4, 0, +4, +8} against its 16-access floor;
-		// scaled to the simulator's floor of 2 this is {−2, −1, 0, +1, +2}.
-		c.ThresholdDeltas = []int{-2, -1, 0, 1, 2}
-	}
-	if c.MigrationRetries == 0 {
-		c.MigrationRetries = 3
-	}
-	if c.MigrationBackoffNs == 0 {
-		c.MigrationBackoffNs = 2000
-	}
-	if c.DegradeAfter == 0 {
-		c.DegradeAfter = 8
 	}
 }
 
@@ -289,12 +266,6 @@ func (a *ArtMem) Name() string {
 // Interval implements the policy contract.
 func (a *ArtMem) Interval() int64 { return a.cfg.TickInterval }
 
-// numStates returns K+2: ratios 0..K plus the no-sample state.
-func (a *ArtMem) numStates() int { return a.cfg.K + 2 }
-
-// noSampleState is the dedicated state for empty sampling windows.
-func (a *ArtMem) noSampleState() int { return a.cfg.K + 1 }
-
 // SetTelemetry wires the agent to a telemetry set: its resilience and
 // decision counters are registered on set.Registry at Attach, and every
 // RL period appends one structured event to set.Trace. Must be called
@@ -379,23 +350,23 @@ func (a *ArtMem) AttachEnv(m memsim.Env) {
 			})
 		})
 	}
-	a.hist = ema.New(m.NumPages(), a.cfg.CoolingSamples)
+	a.hist = ema.New(m.NumPages(), coolingSamples)
 	a.scanQuota = m.NumPages()/4 + 1
 
 	rngSeed := a.cfg.Seed ^ 0xa57a57
 	migCfg := rl.Config{
-		States: a.numStates(), Actions: len(a.cfg.MigrationPages),
+		States: numStates, Actions: len(migrationPages),
 		Alpha: a.cfg.Alpha, Gamma: a.cfg.Gamma, Epsilon: a.cfg.Epsilon,
 		Algorithm: a.cfg.Algorithm,
 	}
 	thrCfg := migCfg
-	thrCfg.Actions = len(a.cfg.ThresholdDeltas)
+	thrCfg.Actions = len(thresholdDeltas)
 	a.qMig = rl.NewTable(migCfg, dist.NewRNG(rngSeed))
 	a.qThr = rl.NewTable(thrCfg, dist.NewRNG(rngSeed+1))
 
 	// Algorithm 1 line 1–2: the program loads from DRAM, so start in
 	// state k with Q(k, no-migration) = 1 and τ₋₁ = k.
-	a.qMig.SetQ(a.cfg.K, 0, 1)
+	a.qMig.SetQ(k, 0, 1)
 	if a.cfg.PretrainedMig != nil {
 		if err := a.qMig.CopyQFrom(a.cfg.PretrainedMig); err != nil {
 			panic(err)
@@ -406,28 +377,18 @@ func (a *ArtMem) AttachEnv(m memsim.Env) {
 			panic(err)
 		}
 	}
-	a.state = a.cfg.K
-	a.actMig, a.actThr = 0, a.thresholdZeroAction()
+	a.state = k
+	a.actMig, a.actThr = 0, thresholdZeroAction
 
 	a.threshold = a.capacityThreshold()
-}
-
-// thresholdZeroAction returns the index of the 0 delta.
-func (a *ArtMem) thresholdZeroAction() int {
-	for i, d := range a.cfg.ThresholdDeltas {
-		if d == 0 {
-			return i
-		}
-	}
-	return len(a.cfg.ThresholdDeltas) / 2
 }
 
 // capacityThreshold is the MEMTIS-style starting threshold, floored at
 // the minimum (§5: "Heuristic Minimum Hotness Threshold").
 func (a *ArtMem) capacityThreshold() uint32 {
 	t := a.hist.CapacityThreshold(a.m.CapacityPages(memsim.Fast))
-	if t < a.cfg.MinThreshold {
-		t = a.cfg.MinThreshold
+	if t < minThreshold {
+		t = minThreshold
 	}
 	return t
 }
@@ -455,7 +416,7 @@ func (a *ArtMem) SamplingOverheadNs() float64 {
 }
 
 // Degraded reports whether the agent is currently in the heuristic
-// fallback mode (sampling signal dry for DegradeAfter periods).
+// fallback mode (sampling signal dry for degradeAfter periods).
 func (a *ArtMem) Degraded() bool { return a.degraded }
 
 // FaultStats returns a snapshot of the agent's resilience counters.
@@ -499,11 +460,11 @@ func (a *ArtMem) observeState() int {
 	total := fast + slow
 	if total == 0 {
 		// All accesses hit in cache or nothing ran: the dedicated state.
-		return a.noSampleState()
+		return noSampleState
 	}
-	tau := int(fast * uint64(a.cfg.K) / total)
-	if tau > a.cfg.K {
-		tau = a.cfg.K
+	tau := int(fast * uint64(k) / total)
+	if tau > k {
+		tau = k
 	}
 	return tau
 }
@@ -528,21 +489,21 @@ func (a *ArtMem) reward(prev, cur int) float64 {
 			lat = (fast*fastLat + slow*slowLat) / tot
 		}
 		a.latEMA = 0.6*a.latEMA + 0.4*lat
-		// Map [fastLat, slowLat] onto the same 0..K scale, inverted so
+		// Map [fastLat, slowLat] onto the same 0..k scale, inverted so
 		// lower latency scores higher.
 		span := slowLat - fastLat
-		score := float64(a.cfg.K) * (slowLat - a.latEMA) / span
+		score := float64(k) * (slowLat - a.latEMA) / span
 		prevScore := float64(prev)
 		a.m.ChargeBackground(800) // extra collection cost (§6.3.4)
 		return score - a.cfg.Beta + lambda*(score-prevScore)
 	}
 	ti, tprev := float64(cur), float64(prev)
-	if cur == a.noSampleState() {
+	if cur == noSampleState {
 		// No sampled events: treat as fully cache-served (best case).
-		ti = float64(a.cfg.K)
+		ti = float64(k)
 	}
-	if prev == a.noSampleState() {
-		tprev = float64(a.cfg.K)
+	if prev == noSampleState {
+		tprev = float64(k)
 	}
 	return ti - a.cfg.Beta + lambda*(ti-tprev)
 }
@@ -554,16 +515,6 @@ func (a *ArtMem) reward(prev, cur int) float64 {
 // dedicated sampling goroutine between migration periods.
 func (a *ArtMem) PumpSamples() {
 	cooled := false
-	drained := a.sampler.Pending()
-	if t := a.cfg.TargetSamplesPerPeriod; t > 0 {
-		// Dynamic period adjustment bounds the sampling overhead (§6.4).
-		switch period := a.sampler.Period(); {
-		case drained > 2*t && period < a.cfg.SamplePeriod*8:
-			a.sampler.SetPeriod(period * 2)
-		case drained < t/2 && period > a.cfg.SamplePeriod:
-			a.sampler.SetPeriod(period / 2)
-		}
-	}
 	a.sampler.Drain(func(s pebs.Sample) {
 		if a.hist.Record(s.Page) {
 			cooled = true
@@ -599,8 +550,8 @@ func (a *ArtMem) PumpSamples() {
 // ignores it).
 func (a *ArtMem) heuristicTick(state int) {
 	a.threshold = a.capacityThreshold()
-	mid := len(a.cfg.MigrationPages) / 2
-	quota := a.cfg.MigrationPages[mid]
+	mid := len(migrationPages) / 2
+	quota := migrationPages[mid]
 	a.lastMigrated = a.migrate(quota)
 	a.migrated = a.lastMigrated > 0
 	a.traceDecision(state, 0, quota, 0)
@@ -648,16 +599,16 @@ func (a *ArtMem) Tick(now int64) {
 	// (the cache absorbed everything), but a long dry spell means the
 	// sampling substrate itself is unhealthy — the no-sample reward would
 	// keep scoring "best case" while slow-tier traffic goes unobserved.
-	// After DegradeAfter consecutive empty windows, fall back to the
+	// After degradeAfter consecutive empty windows, fall back to the
 	// heuristic policy; re-engage RL on the first window with samples.
-	if cur == a.noSampleState() {
+	if cur == noSampleState {
 		a.noSampleStreak++
 	} else {
 		a.noSampleStreak = 0
 	}
 	reengaged := false
 	if a.degraded {
-		if cur == a.noSampleState() {
+		if cur == noSampleState {
 			a.ctDegradedTicks.Inc()
 			a.heuristicTick(cur)
 			return
@@ -668,7 +619,7 @@ func (a *ArtMem) Tick(now int64) {
 			TimeNs: a.m.Now(), Kind: telemetry.KindReengaged, State: cur,
 			Detail: "sampling signal returned, RL re-engaged",
 		})
-	} else if a.cfg.DegradeAfter > 0 && a.noSampleStreak >= a.cfg.DegradeAfter {
+	} else if a.noSampleStreak >= degradeAfter {
 		a.degraded = true
 		a.ctDegradedIn.Inc()
 		a.ctDegradedTicks.Inc()
@@ -676,10 +627,6 @@ func (a *ArtMem) Tick(now int64) {
 			TimeNs: a.m.Now(), Kind: telemetry.KindDegraded, State: cur, Degraded: true,
 			Detail: fmt.Sprintf("%d consecutive empty sampling windows", a.noSampleStreak),
 		})
-		if a.cfg.Debug != nil {
-			a.cfg.Debug("tick %d: entering degraded mode after %d empty windows",
-				a.Decisions(), a.noSampleStreak)
-		}
 		a.heuristicTick(cur)
 		return
 	}
@@ -704,27 +651,20 @@ func (a *ArtMem) Tick(now int64) {
 	// Apply the threshold action with the minimum-threshold floor (§5)
 	// and a generous ceiling that keeps exploration from walking the
 	// threshold beyond any page's plausible count.
-	delta := a.cfg.ThresholdDeltas[nextThr]
+	delta := thresholdDeltas[nextThr]
 	nt := int64(a.threshold) + int64(delta)
-	if nt < int64(a.cfg.MinThreshold) {
-		nt = int64(a.cfg.MinThreshold)
+	if nt < int64(minThreshold) {
+		nt = int64(minThreshold)
 	}
-	if max := int64(a.cfg.MinThreshold) * 16; nt > max {
+	if max := int64(minThreshold) * 16; nt > max {
 		nt = max
 	}
 	a.threshold = uint32(nt)
 
 	// Apply the migration action.
-	a.lastMigrated = a.migrate(a.cfg.MigrationPages[nextMig])
+	a.lastMigrated = a.migrate(migrationPages[nextMig])
 	a.migrated = a.lastMigrated > 0
-	a.traceDecision(cur, r, a.cfg.MigrationPages[nextMig], delta)
-
-	if a.cfg.Debug != nil {
-		a.cfg.Debug("tick %d: state=%d r=%.2f thr=%d act=(mig %d pages, thr %+d) promoted=%d win=%d/%d slowActive=%d",
-			a.Decisions(), cur, r, a.threshold, a.cfg.MigrationPages[nextMig],
-			delta, a.lastMigrated, a.lastWinFast, a.lastWinSlow,
-			a.lists.Len(lru.SlowActive))
-	}
+	a.traceDecision(cur, r, migrationPages[nextMig], delta)
 
 	a.state = cur
 	a.actMig, a.actThr = nextMig, nextThr
@@ -886,19 +826,18 @@ func (a *ArtMem) tracePageOutcome(p memsim.PageID, outcome, reason string) {
 // ErrNotAllocated) return immediately; after the retry budget is
 // exhausted the last busy error is returned for the caller to skip on.
 func (a *ArtMem) moveWithRetry(p memsim.PageID, dst memsim.TierID) error {
-	backoff := a.cfg.MigrationBackoffNs
-	maxBackoff := backoff * 8
+	backoff := float64(migrationBackoffNs)
 	for attempt := 0; ; attempt++ {
 		err := a.m.MovePage(p, dst)
 		if err == nil || !errors.Is(err, memsim.ErrMigrationBusy) {
 			return err
 		}
-		if attempt >= a.cfg.MigrationRetries {
+		if attempt >= migrationRetries {
 			return err
 		}
 		a.ctRetries.Inc()
 		a.m.ChargeBackground(backoff)
-		if backoff < maxBackoff {
+		if backoff < migrationBackoffNs*8 {
 			backoff *= 2
 		}
 	}

@@ -19,25 +19,29 @@ func testMachine(fastPages int) *memsim.Machine {
 
 func TestDefaultsMatchPaper(t *testing.T) {
 	a := New(Config{})
-	if a.cfg.K != 10 {
-		t.Errorf("K = %d, want 10", a.cfg.K)
+	if k != 10 {
+		t.Errorf("k = %d, want 10", k)
 	}
-	if a.numStates() != 12 {
-		t.Errorf("states = %d, want 12 (paper §5)", a.numStates())
+	if numStates != 12 {
+		t.Errorf("states = %d, want 12 (paper §5)", numStates)
 	}
-	if len(a.cfg.MigrationPages) != 9 {
-		t.Errorf("migration actions = %d, want 9 (paper §5)", len(a.cfg.MigrationPages))
+	if len(migrationPages) != 9 {
+		t.Errorf("migration actions = %d, want 9 (paper §5)", len(migrationPages))
 	}
-	if a.cfg.MigrationPages[0] != 0 || a.cfg.MigrationPages[8] != 1024 {
-		t.Errorf("migration ladder = %v", a.cfg.MigrationPages)
+	if migrationPages[0] != 0 || migrationPages[8] != 1024 {
+		t.Errorf("migration ladder = %v", migrationPages)
 	}
 	for i := 1; i < 8; i++ {
-		if a.cfg.MigrationPages[i+1] != 2*a.cfg.MigrationPages[i] {
-			t.Errorf("ladder not doubling at %d: %v", i, a.cfg.MigrationPages)
+		if migrationPages[i+1] != 2*migrationPages[i] {
+			t.Errorf("ladder not doubling at %d: %v", i, migrationPages)
 		}
 	}
-	if len(a.cfg.ThresholdDeltas) != 5 {
-		t.Errorf("threshold actions = %d, want 5", len(a.cfg.ThresholdDeltas))
+	if len(thresholdDeltas) != 5 {
+		t.Errorf("threshold actions = %d, want 5", len(thresholdDeltas))
+	}
+	if thresholdDeltas[thresholdZeroAction] != 0 {
+		t.Errorf("thresholdDeltas[%d] = %d, want the 0 delta", thresholdZeroAction,
+			thresholdDeltas[thresholdZeroAction])
 	}
 	if math.Abs(a.cfg.Alpha-math.Exp(-2)) > 1e-12 ||
 		math.Abs(a.cfg.Gamma-math.Exp(-1)) > 1e-12 ||
@@ -68,8 +72,8 @@ func TestAttachInitializesPerAlgorithm1(t *testing.T) {
 	if a.state != 10 {
 		t.Errorf("initial state = %d, want k", a.state)
 	}
-	if a.threshold < a.cfg.MinThreshold {
-		t.Errorf("initial threshold %d below floor %d", a.threshold, a.cfg.MinThreshold)
+	if a.threshold < minThreshold {
+		t.Errorf("initial threshold %d below floor %d", a.threshold, minThreshold)
 	}
 }
 
@@ -125,24 +129,24 @@ func TestRewardEquation2(t *testing.T) {
 	}
 	// The no-sample state counts as fully cache-served (τ = k).
 	a.migrated = false
-	if got := a.reward(5, a.noSampleState()); got != 10-9 {
+	if got := a.reward(5, noSampleState); got != 10-9 {
 		t.Errorf("no-sample reward = %g, want 1", got)
 	}
 }
 
 func TestThresholdFloorAndCeiling(t *testing.T) {
-	a := New(Config{MinThreshold: 4})
+	a := New(Config{})
 	m := testMachine(16)
 	a.Attach(m)
-	a.threshold = 4
+	a.threshold = minThreshold
 	// Drive ticks with no samples; threshold deltas explore but must
 	// never cross the bounds.
 	for i := 0; i < 200; i++ {
 		a.Tick(int64(i))
-		if a.threshold < 4 {
+		if a.threshold < minThreshold {
 			t.Fatalf("threshold %d below floor", a.threshold)
 		}
-		if a.threshold > 4*16 {
+		if a.threshold > minThreshold*16 {
 			t.Fatalf("threshold %d above ceiling", a.threshold)
 		}
 	}
@@ -350,44 +354,5 @@ func TestRLOverheadTracked(t *testing.T) {
 	if perTick/1e7 > 0.0007 {
 		t.Errorf("RL overhead %.5f%% of interval exceeds the paper's bound",
 			100*perTick/1e7)
-	}
-}
-
-func TestDynamicSamplingPeriodAdjustment(t *testing.T) {
-	a := New(Config{SamplePeriod: 2, TargetSamplesPerPeriod: 10})
-	m := testMachine(16)
-	a.Attach(m)
-	// Flood the sampler: far more than 2× the target pending samples.
-	for i := 0; i < 200; i++ {
-		a.sampler.OnMiss(memsim.PageID(i%32), memsim.Fast, false, 0)
-	}
-	a.PumpSamples()
-	if got := a.sampler.Period(); got != 4 {
-		t.Errorf("period after flood = %d, want doubled to 4", got)
-	}
-	// Starve it: period returns toward the configured baseline.
-	a.PumpSamples()
-	if got := a.sampler.Period(); got != 2 {
-		t.Errorf("period after starvation = %d, want back to 2", got)
-	}
-	// Never exceeds 8× the baseline.
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 3000; i++ {
-			a.sampler.OnMiss(memsim.PageID(i%32), memsim.Fast, false, 0)
-		}
-		a.PumpSamples()
-	}
-	if got := a.sampler.Period(); got > 16 {
-		t.Errorf("period %d exceeds the 8x bound", got)
-	}
-	// Disabled by default: period stays fixed.
-	b := New(Config{SamplePeriod: 2})
-	b.Attach(testMachine(16))
-	for i := 0; i < 500; i++ {
-		b.sampler.OnMiss(0, memsim.Fast, false, 0)
-	}
-	b.PumpSamples()
-	if got := b.sampler.Period(); got != 2 {
-		t.Errorf("auto-tuning ran while disabled: period %d", got)
 	}
 }

@@ -6,17 +6,16 @@ import (
 	"artmem/internal/telemetry"
 )
 
-// The issue's overhead budget: the fully instrumented System (every
-// pull metric registered, decision trace live) must stay within ~5% of
-// the uninstrumented access hot path on AccessBatch. The default
-// instrumentation is pull-based — scrape-time closures plus five plain
-// per-class latency counters inside the machine — so the hot path pays
-// no atomics. Compare:
+// The overhead budget: the fully instrumented System (every pull metric
+// registered, decision trace live) must stay within ~5% of the
+// uninstrumented access hot path on AccessBatch. The instrumentation is
+// pull-based — scrape-time closures plus five plain per-class latency
+// counters inside the machine — so the hot path pays no atomics.
+// Compare:
 //
 //	go test -bench AccessBatch -benchtime 2s ./internal/core/
 //
 // BenchmarkAccessBatch            the instrumented default
-// BenchmarkAccessBatchPushHist    worst case: atomic histogram per access
 // BenchmarkAccessBatchPageTrace   page-lifecycle tracing at the default
 //                                 1/64 sampling rate (must be in noise)
 // BenchmarkAccessBatchPageTraceAll  tracing every page (rate 1)
@@ -58,19 +57,6 @@ func BenchmarkAccessBatchPageTraceAll(b *testing.B) {
 	cfg := testSystemConfig()
 	cfg.PageTraceSampleRate = 1
 	s := NewSystem(cfg)
-	addrs, writes := benchBatch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.AccessBatch(addrs, writes)
-	}
-}
-
-func BenchmarkAccessBatchPushHistogram(b *testing.B) {
-	s := NewSystem(testSystemConfig())
-	h := s.Telemetry().Registry.Histogram(
-		"bench_push_access_latency_ns", "", telemetry.DefBuckets)
-	s.Machine().SetAccessHistogram(h)
 	addrs, writes := benchBatch()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -59,7 +59,7 @@ func (s *System) ControlHandler() http.Handler {
 	})
 	mux.HandleFunc("GET /memory.action_show", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
-		pages := s.pol.cfg.MigrationPages[s.pol.actMig]
+		pages := migrationPages[s.pol.actMig]
 		migrated := s.pol.lastMigrated
 		s.mu.Unlock()
 		decisions := s.pol.Decisions()
@@ -69,7 +69,7 @@ func (s *System) ControlHandler() http.Handler {
 	mux.HandleFunc("GET /memory.threshold_show", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		thr := s.pol.threshold
-		delta := s.pol.cfg.ThresholdDeltas[s.pol.actThr]
+		delta := thresholdDeltas[s.pol.actThr]
 		s.mu.Unlock()
 		fmt.Fprintf(w, "threshold %d\nlast_delta %d\n", thr, delta)
 	})

@@ -48,17 +48,17 @@ type QTableReport struct {
 func (a *ArtMem) QTableReport() QTableReport {
 	return QTableReport{
 		Policy:          a.Name(),
-		K:               a.cfg.K,
-		States:          a.numStates(),
-		NoSampleState:   a.noSampleState(),
+		K:               k,
+		States:          numStates,
+		NoSampleState:   noSampleState,
 		CurrentState:    a.state,
 		Threshold:       a.threshold,
-		MinThreshold:    a.cfg.MinThreshold,
+		MinThreshold:    minThreshold,
 		Beta:            a.cfg.Beta,
 		Degraded:        a.degraded,
 		Decisions:       a.ctDecisions.Value(),
-		MigrationPages:  append([]int(nil), a.cfg.MigrationPages...),
-		ThresholdDeltas: append([]int(nil), a.cfg.ThresholdDeltas...),
+		MigrationPages:  append([]int(nil), migrationPages[:]...),
+		ThresholdDeltas: append([]int(nil), thresholdDeltas[:]...),
 		Migration:       a.qMig.Snapshot(),
 		ThresholdTable:  a.qThr.Snapshot(),
 	}

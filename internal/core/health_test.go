@@ -20,29 +20,23 @@ type lifecycleCase struct {
 	drive func()
 	// degrade puts the runtime's last agent into the heuristic fallback.
 	degrade func()
+	// breakRL drops the first agent's migration Q-table, so its next RL
+	// tick panics.
+	breakRL func()
 	// block runs f while holding the lock the control passes need, so
 	// both worker threads stall for as long as f runs.
 	block func(f func())
 }
 
-// lifecycleCases builds one fresh instance of each online runtime, with
-// pol applied to every agent's policy config. System runs twice: on the
-// two-tier machine and, as "TieredSystem", on a 3-tier chain with one
-// agent per boundary.
-func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
+// lifecycleCases builds one fresh instance of each online runtime.
+// System runs twice: on the two-tier machine and, as "TieredSystem",
+// on a 3-tier chain with one agent per boundary.
+func lifecycleCases(t *testing.T) []lifecycleCase {
 	t.Helper()
 	const ps = 64 * 1024
-	sysCfg := testSystemConfig()
-	pol(&sysCfg.Policy)
-	sys := NewSystem(sysCfg)
-	multiCfg := testMultiConfig()
-	for i := range multiCfg.Tenants {
-		pol(&multiCfg.Tenants[i].Policy)
-	}
-	multi := NewMultiSystem(multiCfg)
-	tiCfg := testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false)
-	pol(&tiCfg.Policy)
-	ti := NewSystem(tiCfg)
+	sys := NewSystem(testSystemConfig())
+	multi := NewMultiSystem(testMultiConfig())
+	ti := NewSystem(testTieredConfig(t, "DRAM:cap=16/CXL:cap=16/PM", false))
 	underLock := func(mu sync.Locker) func(func()) {
 		return func(f func()) {
 			mu.Lock()
@@ -59,6 +53,7 @@ func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
 				}
 			},
 			degrade: func() { underLock(&sys.mu)(func() { sys.pol.degraded = true }) },
+			breakRL: func() { underLock(&sys.mu)(func() { sys.pol.qMig = nil }) },
 			block:   underLock(&sys.mu),
 		},
 		{
@@ -70,6 +65,7 @@ func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
 				}
 			},
 			degrade: func() { underLock(&multi.mu)(func() { multi.agents[1].degraded = true }) },
+			breakRL: func() { underLock(&multi.mu)(func() { multi.agents[0].qMig = nil }) },
 			block:   underLock(&multi.mu),
 		},
 		{
@@ -80,6 +76,7 @@ func lifecycleCases(t *testing.T, pol func(*Config)) []lifecycleCase {
 				}
 			},
 			degrade: func() { underLock(&ti.mu)(func() { ti.agents[1].degraded = true }) },
+			breakRL: func() { underLock(&ti.mu)(func() { ti.agents[0].qMig = nil }) },
 			block:   underLock(&ti.mu),
 		},
 	}

@@ -20,9 +20,9 @@ type agentCheckpoint struct {
 }
 
 // registerLocked admits one tenant: plane slot, fresh agent with a
-// private telemetry set, warm-started from a same-name checkpoint when
-// the table shapes still match. Caller holds s.mu (or is inside
-// NewMultiSystem, before the threads exist).
+// private telemetry set, warm-started from a same-name checkpoint.
+// Caller holds s.mu (or is inside NewMultiSystem, before the threads
+// exist).
 func (s *MultiSystem) registerLocked(t TenantConfig) (int, error) {
 	slot, err := s.plane.Register(tenancy.Tenant{Name: t.Name, Weight: t.Weight, Class: t.Class})
 	if err != nil {
@@ -30,17 +30,12 @@ func (s *MultiSystem) registerLocked(t TenantConfig) (int, error) {
 	}
 	agent := New(t.Policy)
 	if ck, ok := s.checkpoints[s.plane.Tenant(slot).Name]; ok {
-		// Warm-start only when the re-registered policy produces the same
-		// table geometry; a reconfigured tenant starts cold rather than
-		// panicking on a dimension mismatch.
-		if agent.cfg.PretrainedMig == nil && ck.mig != nil &&
-			ck.mig.Config().States == agent.numStates() &&
-			ck.mig.Config().Actions == len(agent.cfg.MigrationPages) {
+		// Every agent has the same table geometry, so a checkpoint
+		// always fits; explicitly pretrained tables take precedence.
+		if agent.cfg.PretrainedMig == nil && ck.mig != nil {
 			agent.cfg.PretrainedMig = ck.mig
 		}
-		if agent.cfg.PretrainedThr == nil && ck.thr != nil &&
-			ck.thr.Config().States == agent.numStates() &&
-			ck.thr.Config().Actions == len(agent.cfg.ThresholdDeltas) {
+		if agent.cfg.PretrainedThr == nil && ck.thr != nil {
 			agent.cfg.PretrainedThr = ck.thr
 		}
 	}

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"artmem/internal/dist"
+	"artmem/internal/rl"
 )
 
 func TestQTableSnapshotRoundTrip(t *testing.T) {
@@ -49,9 +52,15 @@ func TestQTableSnapshotErrors(t *testing.T) {
 	if err := a.RestoreQTables(bytes.NewReader([]byte("garbage!"))); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
-	// Dimension mismatch: snapshot from a K=4 agent into a K=10 agent.
-	small := New(Config{K: 4})
+	// Dimension mismatch: a snapshot of 6-state tables into the agent's
+	// 12-state ones.
+	small := New(Config{})
 	small.Attach(testMachine(16))
+	for _, tb := range []**rl.Table{&small.qMig, &small.qThr} {
+		cfg := (*tb).Config()
+		cfg.States = 6
+		*tb = rl.NewTable(cfg, dist.NewRNG(1))
+	}
 	var sbuf bytes.Buffer
 	if err := small.SaveQTables(&sbuf); err != nil {
 		t.Fatal(err)

@@ -264,7 +264,7 @@ func TestDecisionTraceOnePerPeriod(t *testing.T) {
 		tickOnce(s)
 		s.mu.Lock()
 		exp = append(exp, expect{
-			quota:     pol.cfg.MigrationPages[pol.actMig],
+			quota:     migrationPages[pol.actMig],
 			threshold: pol.threshold,
 			state:     pol.state,
 		})
@@ -326,7 +326,7 @@ func TestSystemUsesProvidedTelemetrySet(t *testing.T) {
 // health surface: Degraded ORs over the agents, a degraded runtime's
 // /healthz still answers 200, and draining answers 503.
 func TestWatchdogHealthTransitions(t *testing.T) {
-	for _, s := range lifecycleCases(t, func(*Config) {}) {
+	for _, s := range lifecycleCases(t) {
 		t.Run(s.name, func(t *testing.T) {
 			srv := httptest.NewServer(s.handler)
 			defer srv.Close()

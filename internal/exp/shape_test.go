@@ -63,7 +63,7 @@ func TestShapeMEMTISFailsOnRecencyPattern(t *testing.T) {
 	o := BenchOptions()
 	static := o.runOne("S2", policies.NewStatic(), benchScaleRatio())
 	memtis := o.runOne("S2", policies.NewMEMTIS(policies.MEMTISConfig{}), benchScaleRatio())
-	mclock := o.runOne("S2", policies.NewMultiClock(policies.ScanConfig{}), benchScaleRatio())
+	mclock := o.runOne("S2", policies.NewMultiClock(), benchScaleRatio())
 	art := o.runOne("S2", o.ArtMemPolicy(core.Config{}), benchScaleRatio())
 	gain := func(r harness.Result) float64 { return float64(static.ExecNs) / float64(r.ExecNs) }
 	// The paper has MEMTIS (with Nimble) worst on S2: its stale EMA heat

@@ -152,10 +152,11 @@ func TestChaosSamplingOutageDegradesAndRecovers(t *testing.T) {
 	// must enter degraded mode during the blackout and re-engage RL
 	// afterwards, ending the run out of degraded mode.
 	w, pageSize := chaosWorkload(t)
-	// The quick-profile run spans ~8 decision periods (10ms each), so use
-	// a low degradation threshold and a mid-run blackout covering ~4
-	// periods with live samples on both sides.
-	pol := core.New(core.Config{Seed: 1, DegradeAfter: 2})
+	// The quick-profile run spans ~8 default 10ms decision periods, so
+	// decide every 2ms instead: the 40ms mid-run blackout then covers
+	// ~20 periods, more than the 8 empty windows that trip degraded
+	// mode, with live samples on both sides.
+	pol := core.New(core.Config{Seed: 1, TickInterval: 2_000_000})
 	res := Run(w, pol, Config{
 		PageSize: pageSize,
 		Ratio:    Ratio{Fast: 1, Slow: 4},

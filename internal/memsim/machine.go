@@ -162,11 +162,8 @@ type Machine struct {
 	// constant model costs (cache hit, fast/slow × read/write), so the
 	// latency distribution is fully described by five plain counters —
 	// the same cost as the existing counter increments, which is what
-	// keeps default telemetry off the hot path (see DESIGN.md §6). The
-	// optional push histogram observes every access individually
-	// (atomic ops per access) for callers that want one.
-	latCounts  []uint64 // 1 + 2*nt classes: cache hit, then read/write per tier
-	accessHist *telemetry.Histogram
+	// keeps telemetry off the hot path (see DESIGN.md §6).
+	latCounts []uint64 // 1 + 2*nt classes: cache hit, then read/write per tier
 
 	// ts holds multi-tenant accounting (owner tags, per-tenant RSS and
 	// counters, fast-tier quotas); nil on single-tenant machines, where
@@ -280,14 +277,6 @@ func (m *Machine) Counters() Counters { return m.ctr }
 
 // SetSampler installs the hardware-sampling hook (nil to remove).
 func (m *Machine) SetSampler(s Sampler) { m.sampler = s }
-
-// SetAccessHistogram installs a push histogram observed on every access
-// with the access's model latency (nil to remove). This is the
-// expensive instrumentation mode — a few atomic operations per access;
-// the default telemetry wiring uses AccessLatencyData instead, which
-// costs nothing on the access path. The overhead benchmark in
-// telemetry_bench_test.go compares the two.
-func (m *Machine) SetAccessHistogram(h *telemetry.Histogram) { m.accessHist = h }
 
 // AccessLatencyData returns the access-latency distribution as
 // histogram buckets. Every access is served at one of 1+2N constant
@@ -423,7 +412,6 @@ func (m *Machine) Access(addr uint64, write bool) {
 		m.ctr.CacheHits++
 		m.latCounts[latCacheHit]++
 		m.advance(m.cfg.CacheHitNs)
-		m.accessHist.Observe(m.cfg.CacheHitNs)
 		if m.ts != nil {
 			tc := &m.ts.ctr[m.ts.current]
 			tc.CacheHits++
@@ -442,7 +430,6 @@ func (m *Machine) Access(addr uint64, write bool) {
 	}
 	m.latCounts[cls]++
 	m.advance(cost)
-	m.accessHist.Observe(cost)
 	if t == Fast {
 		m.ctr.FastAccesses++
 	} else {

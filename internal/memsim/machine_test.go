@@ -424,21 +424,6 @@ func BenchmarkAccessHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessHotPathPushHistogram measures the opt-in push
-// histogram on the access path, against BenchmarkAccessHotPath as the
-// default (pull-instrumented) baseline. The default latency-class
-// counting is plain integer increments and is always on; the atomic
-// histogram is what SetAccessHistogram adds.
-func BenchmarkAccessHotPathPushHistogram(b *testing.B) {
-	m := NewMachine(DefaultConfig(1<<30, 1<<29, 128<<10))
-	reg := telemetry.NewRegistry()
-	m.SetAccessHistogram(reg.Histogram("bench_access_latency_ns", "", telemetry.DefBuckets))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Access(uint64(i*4099)&(1<<30-1), false)
-	}
-}
-
 func TestMovePageSyncChargesAppFully(t *testing.T) {
 	cfg := testConfig(0)
 	m := NewMachine(cfg)

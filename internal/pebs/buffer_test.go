@@ -72,17 +72,18 @@ func (r *randInjector) DropSample(int64) bool   { return r.rng.IntN(8) == 0 }
 func (r *randInjector) RingOverflow(int64) bool { return r.rng.IntN(8) == 0 }
 
 // The refill-from-zero buffer records, orders, drops and counts exactly
-// like the circular ring on random OnMiss/Drain/SetPeriod/injector
-// sequences.
+// like the circular ring on random OnMiss/Drain/injector sequences, at
+// sampling periods 1 to 3.
 func TestBufferMatchesRing(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		size := 1 + rng.IntN(9)
-		s := New(Config{Period: 1, RingSize: size})
-		ref := &ringSampler{period: 1, ring: make([]Sample, size)}
+		period := 1 + uint64(rng.IntN(3))
+		s := New(Config{Period: period, RingSize: size})
+		ref := &ringSampler{period: period, ring: make([]Sample, size)}
 		var got, want []Sample
 		for op := 0; op < 3000; op++ {
-			switch r := rng.IntN(100); {
+			switch r := rng.IntN(95); {
 			case r < 80:
 				page := memsim.PageID(rng.IntN(1000))
 				tier := memsim.TierID(rng.IntN(2))
@@ -101,11 +102,7 @@ func TestBufferMatchesRing(t *testing.T) {
 						t.Fatalf("seed %d op %d: sample %d = %+v, ring has %+v", seed, op, i, got[i], want[i])
 					}
 				}
-			case r < 95:
-				p := uint64(rng.IntN(4))
-				s.SetPeriod(p)
-				ref.period = max(p, 1)
-			case r < 97:
+			case r < 92:
 				if rng.IntN(2) == 0 {
 					s.SetInjector(nil)
 					ref.injector = nil

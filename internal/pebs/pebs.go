@@ -212,7 +212,7 @@ type Stats struct {
 	InjectedDrops uint64
 	// Pending is the current undrained buffer occupancy.
 	Pending int
-	// Period is the current sampling period.
+	// Period is the sampling period.
 	Period uint64
 }
 
@@ -227,20 +227,6 @@ func (s *Sampler) Stats() Stats {
 		Pending:       s.count,
 		Period:        s.cfg.Period,
 	}
-}
-
-// Period returns the current sampling period.
-func (s *Sampler) Period() uint64 { return s.cfg.Period }
-
-// SetPeriod changes the sampling period. The paper dynamically adjusts
-// the period to bound sampling overhead (§6.4); the harness and the
-// ArtMem core use this to trade accuracy for overhead. Periods < 1 are
-// clamped to 1.
-func (s *Sampler) SetPeriod(p uint64) {
-	if p < 1 {
-		p = 1
-	}
-	s.cfg.Period = p
 }
 
 // WindowCounts returns the per-tier sampled-event counts accumulated

@@ -46,12 +46,8 @@ func TestPeriodOneSamplesEverything(t *testing.T) {
 
 func TestZeroPeriodClampedToOne(t *testing.T) {
 	s := New(Config{Period: 0, RingSize: 4})
-	if s.Period() != 1 {
-		t.Errorf("Period = %d, want 1", s.Period())
-	}
-	s.SetPeriod(0)
-	if s.Period() != 1 {
-		t.Errorf("SetPeriod(0) → %d, want 1", s.Period())
+	if p := s.Stats().Period; p != 1 {
+		t.Errorf("Period = %d, want 1", p)
 	}
 }
 

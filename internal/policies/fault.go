@@ -12,32 +12,15 @@ import (
 // is the policy's only per-access signal. The policies differ in what
 // they do with those faults — exactly the design axis Table 1 compares.
 
-// FaultConfig parameterizes the fault-driven baselines.
-type FaultConfig struct {
-	// TickInterval is the policy's period; 0 uses DefaultTickInterval.
-	TickInterval int64
-	// ScanDivisor: the poison window advances footprint/ScanDivisor pages
-	// per tick (kernel NUMA balancing covers the address space over
-	// several scan periods). 0 uses 16.
-	ScanDivisor int
-	// PromoteQuota caps promotions per tick; 0 derives from footprint.
-	PromoteQuota int
-}
-
-func (c *FaultConfig) defaults() {
-	if c.TickInterval == 0 {
-		c.TickInterval = DefaultTickInterval
-	}
-	if c.ScanDivisor == 0 {
-		c.ScanDivisor = 8
-	}
-}
+// faultScanDivisor sets the poison window: it advances
+// footprint/faultScanDivisor pages per tick (kernel NUMA balancing
+// covers the address space over several scan periods).
+const faultScanDivisor = 8
 
 // faultBase extends base with the poison-scanner and per-page fault
 // counters shared by the fault-driven group.
 type faultBase struct {
 	base
-	cfg        FaultConfig
 	scanCursor memsim.PageID
 	faultCnt   []uint8
 	// pending collects slow-tier pages whose faults qualified them for
@@ -48,13 +31,9 @@ type faultBase struct {
 }
 
 func (f *faultBase) attach(m memsim.Env) {
-	f.cfg.defaults()
 	f.base.attach(m)
 	f.faultCnt = make([]uint8, m.NumPages())
 	f.queued = make([]bool, m.NumPages())
-	if f.cfg.PromoteQuota == 0 {
-		f.cfg.PromoteQuota = f.migQuota
-	}
 	// Each concrete policy installs its own OnFault in its Attach.
 }
 
@@ -68,7 +47,7 @@ func (fn faultHandlerFunc) OnFault(p memsim.PageID, t memsim.TierID, write bool,
 
 // advanceScanner poisons the next window of the address space.
 func (f *faultBase) advanceScanner() {
-	window := f.m.NumPages()/f.cfg.ScanDivisor + 1
+	window := f.m.NumPages()/faultScanDivisor + 1
 	f.scanCursor = f.m.PoisonRange(f.scanCursor, window)
 	f.m.ChargeBackground(float64(window) * scanCostPerPageNs)
 }
@@ -82,12 +61,13 @@ func (f *faultBase) enqueue(p memsim.PageID) {
 }
 
 // drainPromotions promotes queued pages (hottest-queued first come,
-// first served), demoting for headroom as needed, up to the quota.
+// first served), demoting for headroom as needed, up to the per-tick
+// migration quota.
 func (f *faultBase) drainPromotions() int {
 	n := 0
 	for _, p := range f.pending {
 		f.queued[p] = false
-		if n >= f.cfg.PromoteQuota {
+		if n >= f.migQuota {
 			continue // stays unqueued; it can re-fault later
 		}
 		if f.m.TierOf(p) != memsim.Slow {
@@ -125,17 +105,10 @@ type AutoNUMA struct {
 }
 
 // NewAutoNUMA returns the AutoNUMA baseline.
-func NewAutoNUMA(cfg FaultConfig) *AutoNUMA {
-	a := &AutoNUMA{}
-	a.cfg = cfg
-	return a
-}
+func NewAutoNUMA() *AutoNUMA { return &AutoNUMA{} }
 
 // Name implements Policy.
 func (a *AutoNUMA) Name() string { return "AutoNUMA" }
-
-// Interval implements Policy.
-func (a *AutoNUMA) Interval() int64 { return a.cfg.TickInterval }
 
 // Attach implements Policy.
 func (a *AutoNUMA) Attach(m *memsim.Machine) { a.AttachEnv(m) }
@@ -187,17 +160,10 @@ type TPP struct {
 }
 
 // NewTPP returns the TPP baseline.
-func NewTPP(cfg FaultConfig) *TPP {
-	t := &TPP{}
-	t.cfg = cfg
-	return t
-}
+func NewTPP() *TPP { return &TPP{} }
 
 // Name implements Policy.
 func (t *TPP) Name() string { return "TPP" }
-
-// Interval implements Policy.
-func (t *TPP) Interval() int64 { return t.cfg.TickInterval }
 
 // Attach implements Policy.
 func (t *TPP) Attach(m *memsim.Machine) { t.AttachEnv(m) }
@@ -258,17 +224,10 @@ type AutoTiering struct {
 }
 
 // NewAutoTiering returns the AutoTiering baseline.
-func NewAutoTiering(cfg FaultConfig) *AutoTiering {
-	a := &AutoTiering{}
-	a.cfg = cfg
-	return a
-}
+func NewAutoTiering() *AutoTiering { return &AutoTiering{} }
 
 // Name implements Policy.
 func (a *AutoTiering) Name() string { return "AutoTiering" }
-
-// Interval implements Policy.
-func (a *AutoTiering) Interval() int64 { return a.cfg.TickInterval }
 
 // Attach implements Policy.
 func (a *AutoTiering) Attach(m *memsim.Machine) { a.AttachEnv(m) }
@@ -343,7 +302,7 @@ func (a *AutoTiering) Tick(now int64) {
 	a.advanceScanner()
 	a.age()
 	a.drainPromotions()
-	if now/a.cfg.TickInterval%24 == 0 {
+	if now/DefaultTickInterval%24 == 0 {
 		a.decayFaults()
 	}
 }
@@ -366,17 +325,10 @@ type Tiering08 struct {
 }
 
 // NewTiering08 returns the Tiering-0.8 baseline.
-func NewTiering08(cfg FaultConfig) *Tiering08 {
-	t := &Tiering08{threshold: 2}
-	t.cfg = cfg
-	return t
-}
+func NewTiering08() *Tiering08 { return &Tiering08{threshold: 2} }
 
 // Name implements Policy.
 func (t *Tiering08) Name() string { return "Tiering-0.8" }
-
-// Interval implements Policy.
-func (t *Tiering08) Interval() int64 { return t.cfg.TickInterval }
 
 // Attach implements Policy.
 func (t *Tiering08) Attach(m *memsim.Machine) { t.AttachEnv(m) }

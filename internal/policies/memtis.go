@@ -22,35 +22,23 @@ import (
 // would do), and on S4 — where the equally-hot set exceeds DRAM — it
 // thrashes (47GB migrated). The model reproduces both behaviours.
 
+// MEMTIS samples with the same PEBS settings as ArtMem's agent (the
+// paper's 200 and 2M, scaled to the simulator's shorter runs — see
+// DESIGN.md).
+const (
+	memtisSamplePeriod   = 5
+	memtisCoolingSamples = 500_000
+)
+
 // MEMTISConfig parameterizes the MEMTIS baseline.
 type MEMTISConfig struct {
-	// TickInterval is the migration daemon period; 0 uses the default.
+	// TickInterval is the migration daemon period; 0 uses
+	// DefaultTickInterval.
 	TickInterval int64
-	// SamplePeriod is the PEBS sampling period; 0 uses 20 (the paper's
-	// 200 scaled to the simulator's shorter runs — see DESIGN.md).
-	SamplePeriod uint64
-	// CoolingSamples is the cooling trigger in recorded samples; 0 uses
-	// 50000 (2M scaled).
-	CoolingSamples uint64
-	// MigrateQuota caps migrations per tick; 0 derives a deliberately
-	// generous budget (MEMTIS migrates aggressively).
-	MigrateQuota int
 	// ThresholdOverride, when non-zero, pins the hotness threshold
 	// instead of deriving it from DRAM capacity — the manual tuning
 	// experiment of Figure 4.
 	ThresholdOverride uint32
-}
-
-func (c *MEMTISConfig) defaults() {
-	if c.TickInterval == 0 {
-		c.TickInterval = DefaultTickInterval
-	}
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = 5
-	}
-	if c.CoolingSamples == 0 {
-		c.CoolingSamples = 500_000
-	}
 }
 
 // MEMTIS is the MEMTIS baseline policy.
@@ -71,7 +59,9 @@ func (mt *MEMTIS) Name() string { return "MEMTIS" }
 
 // Interval implements Policy.
 func (mt *MEMTIS) Interval() int64 {
-	mt.cfg.defaults()
+	if mt.cfg.TickInterval == 0 {
+		return DefaultTickInterval
+	}
 	return mt.cfg.TickInterval
 }
 
@@ -80,19 +70,15 @@ func (mt *MEMTIS) Attach(m *memsim.Machine) { mt.AttachEnv(m) }
 
 // AttachEnv implements EnvPolicy.
 func (mt *MEMTIS) AttachEnv(m memsim.Env) {
-	mt.cfg.defaults()
 	mt.attach(m)
-	if mt.cfg.MigrateQuota == 0 {
-		mt.cfg.MigrateQuota = mt.migQuota * 8
-	}
 	mt.sampler = pebs.New(pebs.Config{
-		Period:       mt.cfg.SamplePeriod,
+		Period:       memtisSamplePeriod,
 		RingSize:     64 * 1024,
 		SampleCostNs: 20,
 		Charge:       m.ChargeBackground,
 	})
 	m.SetSampler(mt.sampler)
-	mt.hist = ema.New(m.NumPages(), mt.cfg.CoolingSamples)
+	mt.hist = ema.New(m.NumPages(), memtisCoolingSamples)
 }
 
 // Threshold returns the hotness threshold MEMTIS is currently using.
@@ -133,7 +119,8 @@ func (mt *MEMTIS) Tick(now int64) {
 		}
 	}
 	sort.Slice(hot, func(i, j int) bool { return hot[i].c > hot[j].c })
-	quota := mt.cfg.MigrateQuota
+	// A deliberately generous budget: MEMTIS migrates aggressively.
+	quota := mt.migQuota * 8
 	for _, s := range hot {
 		if quota == 0 {
 			break

@@ -62,12 +62,12 @@ func Baselines() []Factory {
 	return []Factory{
 		{Name: "Static", New: func() Policy { return NewStatic() }},
 		{Name: "MEMTIS", New: func() Policy { return NewMEMTIS(MEMTISConfig{}) }},
-		{Name: "AutoTiering", New: func() Policy { return NewAutoTiering(FaultConfig{}) }},
-		{Name: "TPP", New: func() Policy { return NewTPP(FaultConfig{}) }},
-		{Name: "AutoNUMA", New: func() Policy { return NewAutoNUMA(FaultConfig{}) }},
-		{Name: "Multi-clock", New: func() Policy { return NewMultiClock(ScanConfig{}) }},
-		{Name: "Nimble", New: func() Policy { return NewNimble(ScanConfig{}) }},
-		{Name: "Tiering-0.8", New: func() Policy { return NewTiering08(FaultConfig{}) }},
+		{Name: "AutoTiering", New: func() Policy { return NewAutoTiering() }},
+		{Name: "TPP", New: func() Policy { return NewTPP() }},
+		{Name: "AutoNUMA", New: func() Policy { return NewAutoNUMA() }},
+		{Name: "Multi-clock", New: func() Policy { return NewMultiClock() }},
+		{Name: "Nimble", New: func() Policy { return NewNimble() }},
+		{Name: "Tiering-0.8", New: func() Policy { return NewTiering08() }},
 	}
 }
 
@@ -116,6 +116,10 @@ func (b *base) attach(m memsim.Env) {
 		b.migQuota = m.NumPages()/32 + 1
 	}
 }
+
+// Interval implements Policy: every baseline but MEMTIS, whose period
+// is configurable, works on DefaultTickInterval.
+func (b *base) Interval() int64 { return DefaultTickInterval }
 
 // age runs one second-chance aging pass over both tiers using the page
 // table's accessed bits, charging the scan to background CPU.
@@ -215,9 +219,6 @@ func (s *Static) Attach(m *memsim.Machine) { s.AttachEnv(m) }
 
 // AttachEnv implements EnvPolicy.
 func (s *Static) AttachEnv(e memsim.Env) { s.attach(e) }
-
-// Interval implements Policy.
-func (s *Static) Interval() int64 { return DefaultTickInterval }
 
 // Tick implements Policy: nothing to do.
 func (s *Static) Tick(now int64) {}

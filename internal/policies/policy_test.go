@@ -186,15 +186,16 @@ func TestMEMTISOverMigratesWhenEverythingFits(t *testing.T) {
 	// the capacity threshold admits everything, so MEMTIS promotes every
 	// sampled slow page.
 	m := testMachine(48) // fast tier holds 48 of 64 pages
-	mt := NewMEMTIS(MEMTISConfig{SamplePeriod: 1})
+	mt := NewMEMTIS(MEMTISConfig{})
 	mt.Attach(m)
 	ps := uint64(m.PageSize())
-	// Touch all 64 pages: 48 fast, 16 slow, then access the slow ones a
-	// couple of times.
+	// Touch all 64 pages: 48 fast, 16 slow, then access the slow ones
+	// enough times that, one sample per memtisSamplePeriod misses, each
+	// is sampled a few times.
 	for p := uint64(0); p < 64; p++ {
 		m.Access(p*ps, false)
 	}
-	for r := 0; r < 3; r++ {
+	for r := 0; r < 3*memtisSamplePeriod; r++ {
 		for p := uint64(48); p < 64; p++ {
 			m.Access(p*ps, false)
 		}
@@ -207,7 +208,7 @@ func TestMEMTISOverMigratesWhenEverythingFits(t *testing.T) {
 
 func TestMultiClockRequiresDoubleConfirmation(t *testing.T) {
 	m := testMachine(16)
-	mc := NewMultiClock(ScanConfig{})
+	mc := NewMultiClock()
 	mc.Attach(m)
 	touch := fillHotCold(m)
 	// Make room so promotion is unconstrained.
@@ -229,21 +230,22 @@ func TestMultiClockRequiresDoubleConfirmation(t *testing.T) {
 
 func TestNimbleBatchCadence(t *testing.T) {
 	m := testMachine(16)
-	n := NewNimble(ScanConfig{BatchTicks: 4})
+	n := NewNimble()
 	n.Attach(m)
 	touch := fillHotCold(m)
-	// Ticks 1..3: history builds, no batch yet.
-	for i := 1; i <= 3; i++ {
+	// Ticks before the batch tick: history builds, no batch yet.
+	for i := 1; i < nimbleBatchTicks; i++ {
 		touch(5)
 		n.Tick(int64(i))
 	}
 	if got := m.Counters().Migrations; got != 0 {
 		t.Fatalf("Nimble migrated %d pages before its batch tick", got)
 	}
-	// Tick 4 completes the batch window; with 4 scans of history the hot
-	// pages qualify (h ≥ 4) and exchange with cold fast pages.
+	// Tick nimbleBatchTicks completes the batch window; with that many
+	// scans of history the hot pages qualify (h ≥ 4) and exchange with
+	// cold fast pages.
 	touch(5)
-	n.Tick(4)
+	n.Tick(nimbleBatchTicks)
 	if got := m.Counters().Promotions; got == 0 {
 		t.Error("Nimble batch did not promote")
 	}
@@ -251,7 +253,7 @@ func TestNimbleBatchCadence(t *testing.T) {
 
 func TestAutoTieringExchangesOnFault(t *testing.T) {
 	m := testMachine(16)
-	at := NewAutoTiering(FaultConfig{})
+	at := NewAutoTiering()
 	at.Attach(m)
 	touch := fillHotCold(m)
 	// Age the cold fast pages onto the inactive list so exchange victims
@@ -272,7 +274,7 @@ func TestAutoTieringExchangesOnFault(t *testing.T) {
 
 func TestTiering08ResetsOnWorkloadChange(t *testing.T) {
 	m := testMachine(16)
-	tr := NewTiering08(FaultConfig{})
+	tr := NewTiering08()
 	tr.Attach(m)
 	fillHotCold(m)
 	// Phase 1: all faults on fast pages.
@@ -298,7 +300,7 @@ func TestTiering08ResetsOnWorkloadChange(t *testing.T) {
 
 func TestFaultPoliciesChargeFaultCost(t *testing.T) {
 	m := testMachine(16)
-	an := NewAutoNUMA(FaultConfig{})
+	an := NewAutoNUMA()
 	an.Attach(m)
 	fillHotCold(m)
 	an.Tick(1) // poisons a window

@@ -13,26 +13,9 @@ import (
 // why the paper finds them "slower in recognizing hot regions when the
 // hot areas are small but intensely accessed" (§3.1).
 
-// ScanConfig parameterizes the scanning baselines.
-type ScanConfig struct {
-	// TickInterval is the scan period; 0 uses DefaultTickInterval.
-	TickInterval int64
-	// MigrateQuota caps pages migrated per scan; 0 derives from the
-	// footprint.
-	MigrateQuota int
-	// BatchTicks (Nimble) is how many scan periods elapse between batch
-	// migrations; 0 uses 4.
-	BatchTicks int
-}
-
-func (c *ScanConfig) defaults() {
-	if c.TickInterval == 0 {
-		c.TickInterval = DefaultTickInterval
-	}
-	if c.BatchTicks == 0 {
-		c.BatchTicks = 8
-	}
-}
+// nimbleBatchTicks is how many scan periods elapse between Nimble's
+// batch migrations.
+const nimbleBatchTicks = 8
 
 // ---- Multi-clock -------------------------------------------------------------
 
@@ -45,35 +28,22 @@ func (c *ScanConfig) defaults() {
 // the paper observes it "fails to migrate 82% of the pages" on S4.
 type MultiClock struct {
 	base
-	cfg       ScanConfig
 	candidate []bool
 }
 
 // NewMultiClock returns the Multi-clock baseline.
-func NewMultiClock(cfg ScanConfig) *MultiClock {
-	return &MultiClock{cfg: cfg}
-}
+func NewMultiClock() *MultiClock { return &MultiClock{} }
 
 // Name implements Policy.
 func (mc *MultiClock) Name() string { return "Multi-clock" }
-
-// Interval implements Policy.
-func (mc *MultiClock) Interval() int64 {
-	mc.cfg.defaults()
-	return mc.cfg.TickInterval
-}
 
 // Attach implements Policy.
 func (mc *MultiClock) Attach(m *memsim.Machine) { mc.AttachEnv(m) }
 
 // AttachEnv implements EnvPolicy.
 func (mc *MultiClock) AttachEnv(m memsim.Env) {
-	mc.cfg.defaults()
 	mc.attach(m)
 	mc.candidate = make([]bool, m.NumPages())
-	if mc.cfg.MigrateQuota == 0 {
-		mc.cfg.MigrateQuota = mc.migQuota
-	}
 }
 
 // Tick implements Policy: one CLOCK sweep per tier.
@@ -91,7 +61,7 @@ func (mc *MultiClock) Tick(now int64) {
 		if m.TestAndClearAccessed(p) {
 			if mc.candidate[p] {
 				// Second confirmation: promote.
-				if promoted < mc.cfg.MigrateQuota {
+				if promoted < mc.migQuota {
 					if m.FreePages(memsim.Fast) == 0 {
 						mc.demoteForHeadroom(1, 2)
 					}
@@ -125,37 +95,23 @@ func (mc *MultiClock) Tick(now int64) {
 // of slow page hotness differentiation", §3.1).
 type Nimble struct {
 	base
-	cfg     ScanConfig
 	history []uint8
 	ticks   int
 }
 
 // NewNimble returns the Nimble baseline.
-func NewNimble(cfg ScanConfig) *Nimble {
-	return &Nimble{cfg: cfg}
-}
+func NewNimble() *Nimble { return &Nimble{} }
 
 // Name implements Policy.
 func (n *Nimble) Name() string { return "Nimble" }
-
-// Interval implements Policy.
-func (n *Nimble) Interval() int64 {
-	n.cfg.defaults()
-	return n.cfg.TickInterval
-}
 
 // Attach implements Policy.
 func (n *Nimble) Attach(m *memsim.Machine) { n.AttachEnv(m) }
 
 // AttachEnv implements EnvPolicy.
 func (n *Nimble) AttachEnv(m memsim.Env) {
-	n.cfg.defaults()
 	n.attach(m)
 	n.history = make([]uint8, m.NumPages())
-	if n.cfg.MigrateQuota == 0 {
-		// Batch migration: a larger per-batch budget, applied less often.
-		n.cfg.MigrateQuota = n.migQuota * 2
-	}
 }
 
 // hotness is the popcount of the history byte: scans-with-access out of
@@ -185,7 +141,7 @@ func (n *Nimble) Tick(now int64) {
 	}
 	m.ChargeBackground(float64(m.NumPages()) * scanCostPerPageNs)
 	n.ticks++
-	if n.ticks%n.cfg.BatchTicks != 0 {
+	if n.ticks%nimbleBatchTicks != 0 {
 		return
 	}
 	// Batch exchange: hottest slow pages vs coldest fast pages.
@@ -210,7 +166,8 @@ func (n *Nimble) Tick(now int64) {
 	}
 	sort.Slice(hotSlow, func(i, j int) bool { return hotSlow[i].h > hotSlow[j].h })
 	sort.Slice(fastPages, func(i, j int) bool { return fastPages[i].h < fastPages[j].h })
-	quota := n.cfg.MigrateQuota
+	// Batch migration: a larger per-batch budget, applied less often.
+	quota := n.migQuota * 2
 	vi := 0
 	for _, s := range hotSlow {
 		if quota == 0 {

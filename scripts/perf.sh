@@ -11,10 +11,11 @@
 # "host" is the benchmark's host line (CPU model, vCPUs, Go version) and
 # "result" its result object, both verbatim.
 #
-# It then runs the replay loop's kernel microbenchmarks (the memsim access
-# hot path and cache lookup, the pebs drain, lru aging, the ema record,
-# the RNG's bounded draw), five counts each, and appends one line per
-# result with the same host object:
+# It then runs the kernel microbenchmarks (the memsim access hot path and
+# cache lookup, the pebs drain, lru aging, the ema record, the RNG's
+# bounded draw, the rl table's update and choice, the serve frame codec,
+# and the telemetry counter and histogram on nil receivers), five counts
+# each, and appends one line per result with the same host object:
 #
 #   {"bench":"BenchmarkCacheLookup","pkg":"artmem/internal/memsim","ns_per_op":6.2,"bytes_per_op":0,"allocs_per_op":0,"host":{...}}
 #
@@ -47,7 +48,7 @@ for w in replay replay-chain serve serve-tenants; do
 	done
 done
 
-micro='AccessHotPath|CacheLookup|SamplerDrain|Age|Record|Uint64n'
+micro='AccessHotPath|CacheLookup|SamplerDrain|Age|Record|Uint64n|ServeDecode|ServeEncode|Update|Choose|CounterIncNil|HistogramObserveNil'
 echo "== go test -bench '$micro' -benchmem -count 5 ./internal/..." >&2
 results=$(go test -run '^$' -bench "$micro" -benchmem -count 5 ./internal/...)
 printf '%s\n' "$results" >&2
