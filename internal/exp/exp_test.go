@@ -6,6 +6,7 @@ import (
 
 	"artmem/internal/core"
 	"artmem/internal/rl"
+	"artmem/internal/textplot"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -87,6 +88,25 @@ func TestTable2MatchesPaperNumbers(t *testing.T) {
 	}
 }
 
+// Smoke-run the cheap experiments end-to-end in quick mode; the heavy
+// sweeps (fig7, fig14, fig15) are exercised by the benchmarks.
+func TestQuickExperimentsProduceTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke runs")
+	}
+	o := QuickOptions()
+	for _, id := range []string{"table2", "fig1", "fig4", "fig9", "fig11", "overheads"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTables(t, id, e.Run(o))
+		})
+	}
+}
+
 // TestEveryExperimentRunsAtQuickScale executes the complete registry at
 // miniature scale — the panic/regression net for every experiment code
 // path: every table has a header and rows and renders to more than
@@ -99,21 +119,28 @@ func TestEveryExperimentRunsAtQuickScale(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables := e.Run(o)
-			if len(tables) == 0 {
-				t.Fatalf("%s produced no tables", e.ID)
-			}
-			for _, tb := range tables {
-				if len(tb.Header) == 0 {
-					t.Errorf("table %q has no header", tb.Title)
-				}
-				if len(tb.Rows) == 0 {
-					t.Errorf("table %q has no rows", tb.Title)
-				}
-				if out := tb.Render(); len(strings.TrimSpace(out)) == 0 {
-					t.Errorf("table %q renders empty", tb.Title)
-				}
-			}
+			checkTables(t, e.ID, e.Run(o))
 		})
+	}
+}
+
+// checkTables fails t unless experiment id produced at least one table
+// and every table has a header and rows and renders to more than
+// whitespace.
+func checkTables(t *testing.T, id string, tables []textplot.Table) {
+	t.Helper()
+	if len(tables) == 0 {
+		t.Fatalf("%s produced no tables", id)
+	}
+	for _, tb := range tables {
+		if len(tb.Header) == 0 {
+			t.Errorf("table %q has no header", tb.Title)
+		}
+		if len(tb.Rows) == 0 {
+			t.Errorf("table %q has no rows", tb.Title)
+		}
+		if out := tb.Render(); len(strings.TrimSpace(out)) == 0 {
+			t.Errorf("table %q renders empty", tb.Title)
+		}
 	}
 }
