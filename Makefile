@@ -41,8 +41,9 @@ loadtest:
 	@echo "loadtest ledger:" && cat loadtest_results/ledger.json
 
 # Documentation gate: every package and exported identifier needs a doc
-# comment, and every relative link in *.md, #fragment included, must
-# resolve (cmd/docscheck).
+# comment, every relative link in *.md, #fragment included, must
+# resolve, and every exported function or method under internal/ needs
+# a non-test reference (cmd/docscheck).
 docs-check:
 	go run ./cmd/docscheck
 

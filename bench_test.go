@@ -1,6 +1,6 @@
 // Top-level benchmark harness: one testing.B benchmark per table and
 // figure of the paper (DESIGN.md §3 maps each to its experiment). Each
-// benchmark regenerates its artifact at bench scale (BenchOptions) and
+// benchmark regenerates its artifact at bench scale (benchOptions) and
 // writes the rendered tables to bench_results/<id>.txt so the outputs
 // can be inspected and diffed against EXPERIMENTS.md.
 //
@@ -20,7 +20,19 @@ import (
 	"testing"
 
 	"artmem/internal/exp"
+	"artmem/internal/workloads"
 )
+
+// benchOptions is the bench scale: large enough for the shapes to
+// emerge, small enough that the full suite finishes in minutes.
+var benchOptions = exp.Options{
+	Profile: workloads.Profile{
+		Div:             128,
+		PatternAccesses: 12_000_000,
+		AppAccesses:     3_000_000,
+		Seed:            1,
+	},
+}
 
 // benchExperiment runs experiment id once per b.N iteration and persists
 // the output of the final iteration.
@@ -29,7 +41,7 @@ func benchExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := exp.BenchOptions()
+	o := benchOptions
 	var rendered strings.Builder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -216,8 +216,8 @@ func TestPollAndRenderAgainstMultiSystem(t *testing.T) {
 	srv := httptest.NewServer(sys.ControlHandler())
 	defer srv.Close()
 	for p := uint64(0); p < 40; p++ {
-		sys.Access(0, p*64*1024, false)
-		sys.Access(1, (64+p)*64*1024, false)
+		sys.AccessBatch(0, []uint64{p * 64 * 1024}, []bool{false})
+		sys.AccessBatch(1, []uint64{(64 + p) * 64 * 1024}, []bool{false})
 	}
 
 	cur, err := poll(srv.URL, 8)

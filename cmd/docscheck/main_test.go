@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -68,6 +69,25 @@ func TestCheckSectionRefsReportsMissingSections(t *testing.T) {
 		x + ":2: DESIGN.md " + sec + "4 names no section",
 	}
 	if got := checkSectionRefs(dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("findings:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestCheckTestOnlyReportsTestOnlyExports runs the test-only-export
+// walk over a fixture module: an exported function that only a test
+// calls is reported, a method that satisfies fmt.Stringer is not, a
+// function that a cmd package calls is not, and a method that shares
+// io.Closer's name but not its signature is reported.
+func TestCheckTestOnlyReportsTestOnlyExports(t *testing.T) {
+	root := filepath.Join("testdata", "testonly")
+	lib := filepath.Join(root, "internal", "lib", "lib.go")
+	want := []string{
+		lib + ":10: exported function lib.OnlyTested has no non-test reference",
+		lib + ":19: exported method lib.Name.Close has no non-test reference",
+	}
+	got := checkTestOnly(root)
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n got %q\nwant %q", got, want)
 	}
 }

@@ -32,7 +32,6 @@ type Tree struct {
 	cfg  Config
 	root *node
 	next uint64 // next node address
-	n    int    // number of keys stored
 }
 
 type node struct {
@@ -65,20 +64,8 @@ func (t *Tree) newNode(leaf bool) *node {
 	return n
 }
 
-// Len returns the number of keys stored.
-func (t *Tree) Len() int { return t.n }
-
 // Footprint returns the virtual bytes spanned by allocated nodes.
 func (t *Tree) Footprint() int64 { return int64(t.next - t.cfg.Base) }
-
-// Height returns the tree height (1 for a lone leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf(); n = n.children[0] {
-		h++
-	}
-	return h
-}
 
 // keyAddr returns the virtual address of key slot i in node n.
 func (t *Tree) keyAddr(n *node, i int) uint64 {
@@ -149,7 +136,6 @@ func (t *Tree) insertNonFull(n *node, key uint64, touch Touch) bool {
 			if touch != nil {
 				touch(t.keyAddr(n, i), true)
 			}
-			t.n++
 			return true
 		}
 		child := n.children[i]

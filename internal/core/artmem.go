@@ -393,9 +393,6 @@ func (a *ArtMem) capacityThreshold() uint32 {
 	return t
 }
 
-// Threshold returns the current hotness threshold (for experiments).
-func (a *ArtMem) Threshold() uint32 { return a.threshold }
-
 // Decisions returns the number of RL periods elapsed. Safe to call
 // concurrently with a running System (the count is a registry-backed
 // atomic counter).
@@ -414,10 +411,6 @@ func (a *ArtMem) SamplingOverheadNs() float64 {
 	}
 	return float64(a.sampler.Total()) * 20
 }
-
-// Degraded reports whether the agent is currently in the heuristic
-// fallback mode (sampling signal dry for degradeAfter periods).
-func (a *ArtMem) Degraded() bool { return a.degraded }
 
 // FaultStats returns a snapshot of the agent's resilience counters.
 // The counters live on the telemetry registry; this accessor keeps the

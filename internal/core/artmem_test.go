@@ -324,7 +324,7 @@ func TestQTableTransplant(t *testing.T) {
 		t.Errorf("pretrained Q not transplanted")
 	}
 	// Mismatched dimensions are rejected at Attach.
-	other := rl.NewTable(rl.DefaultConfig(2, 2), nil)
+	other := rl.NewTable(rl.Config{States: 2, Actions: 2, Alpha: rl.DefaultAlpha}, nil)
 	for name, cfg := range map[string]Config{
 		"mig": {PretrainedMig: other},
 		"thr": {PretrainedThr: other},

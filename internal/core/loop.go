@@ -224,10 +224,6 @@ func (l *controlLoop) Draining() bool { return l.draining.Load() }
 // served by the control endpoints.
 func (l *controlLoop) Telemetry() *telemetry.Set { return l.tel }
 
-// Injector returns the installed fault injector, or nil when the
-// runtime runs fault-free.
-func (l *controlLoop) Injector() *faultinject.Injector { return l.injector }
-
 // controlMux returns a mux serving the routes every runtime's control
 // handler shares: /healthz, /metrics, and /metrics.json.
 func (l *controlLoop) controlMux() *http.ServeMux {

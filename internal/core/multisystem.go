@@ -252,16 +252,6 @@ func (s *MultiSystem) NumTenants() int { return len(s.agents) }
 // Agent returns tenant i's ArtMem agent.
 func (s *MultiSystem) Agent(i int) *ArtMem { return s.agents[i] }
 
-// Access performs one application memory access on behalf of tenant i:
-// the machine charges the access (and any first-touch allocation) to
-// that tenant.
-func (s *MultiSystem) Access(tenant int, addr uint64, write bool) {
-	s.mu.Lock()
-	s.m.SetCurrentTenant(memsim.TenantID(tenant))
-	s.m.Access(addr, write)
-	s.mu.Unlock()
-}
-
 // AccessBatch performs a batch of tenant i's accesses under one lock
 // acquisition. addrs and writes must have equal length.
 func (s *MultiSystem) AccessBatch(tenant int, addrs []uint64, writes []bool) {

@@ -73,7 +73,12 @@ func TestPageLifecycleReconstruction(t *testing.T) {
 		t.Fatal("no settled promotion in the journal")
 	}
 
-	tl := pt.PageEvents(page)
+	var tl []telemetry.PageEvent
+	for _, e := range pt.Events(0) {
+		if e.Page == page {
+			tl = append(tl, e)
+		}
+	}
 	if len(tl) < 4 {
 		t.Fatalf("page %d timeline has %d events, want a full lifecycle: %+v", page, len(tl), tl)
 	}

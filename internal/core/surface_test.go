@@ -129,7 +129,7 @@ func TestChainTraceMergedByTime(t *testing.T) {
 	defer srv.Close()
 
 	events := getTrace(t, srv, "")
-	if want := len(s.Agent(0).Telemetry().Trace.Events(0)) + len(s.Agent(1).Telemetry().Trace.Events(0)); len(events) != want {
+	if want := len(s.agents[0].Telemetry().Trace.Events(0)) + len(s.agents[1].Telemetry().Trace.Events(0)); len(events) != want {
 		t.Fatalf("/trace has %d events, the two rings hold %d", len(events), want)
 	}
 	decisions := 0

@@ -207,10 +207,6 @@ func (s *System) Policy() *ArtMem { return s.pol }
 // NumBoundaries returns the number of tier boundaries, one agent each.
 func (s *System) NumBoundaries() int { return len(s.agents) }
 
-// Agent returns boundary b's ArtMem agent. After Start, interrogate it
-// only while the system is stopped.
-func (s *System) Agent(b int) *ArtMem { return s.agents[b] }
-
 // Access performs one application memory access.
 func (s *System) Access(addr uint64, write bool) {
 	s.mu.Lock()

@@ -191,45 +191,6 @@ func TestScrambledZipfSpreadsHotKeys(t *testing.T) {
 	}
 }
 
-func TestParetoSkewAndRange(t *testing.T) {
-	r := NewRNG(13)
-	p := NewPareto(r, 1000, 1.2)
-	counts := make([]int, 1000)
-	for i := 0; i < 100000; i++ {
-		v := p.Next()
-		if v >= 1000 {
-			t.Fatalf("Pareto value %d out of range", v)
-		}
-		counts[v]++
-	}
-	low, high := 0, 0
-	for i := 0; i < 100; i++ {
-		low += counts[i]
-	}
-	for i := 900; i < 1000; i++ {
-		high += counts[i]
-	}
-	if low <= high*5 {
-		t.Errorf("low decile %d not ≫ high decile %d; not Pareto-skewed", low, high)
-	}
-}
-
-func TestParetoPanics(t *testing.T) {
-	for _, tc := range []struct {
-		n     uint64
-		shape float64
-	}{{0, 1}, {10, 0}, {10, -2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewPareto(%d, %g) did not panic", tc.n, tc.shape)
-				}
-			}()
-			NewPareto(NewRNG(1), tc.n, tc.shape)
-		}()
-	}
-}
-
 func BenchmarkZipfNext(b *testing.B) {
 	z := NewZipf(NewRNG(1), 1<<20, 0.99)
 	for i := 0; i < b.N; i++ {
@@ -283,27 +244,5 @@ func TestMul64MatchesPortable(t *testing.T) {
 	r := NewRNG(9)
 	for i := 0; i < 100000; i++ {
 		check(r.Uint64(), r.Uint64()>>r.Intn(64))
-	}
-}
-
-func TestShufflePermutes(t *testing.T) {
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r := NewRNG(5)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if v < 0 || v >= len(xs) || seen[v] {
-			t.Fatalf("not a permutation: %v", xs)
-		}
-		seen[v] = true
-	}
-	// Same seed shuffles identically.
-	ys := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r2 := NewRNG(5)
-	r2.Shuffle(len(ys), func(i, j int) { ys[i], ys[j] = ys[j], ys[i] })
-	for i := range xs {
-		if xs[i] != ys[i] {
-			t.Fatalf("same-seed shuffles differ: %v vs %v", xs, ys)
-		}
 	}
 }

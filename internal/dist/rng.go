@@ -1,6 +1,6 @@
 // Package dist provides deterministic random number generation and the
 // access-skew distributions used throughout the ArtMem simulation:
-// uniform, Zipfian, scrambled Zipfian (YCSB-style), and Pareto.
+// uniform, Zipfian and scrambled Zipfian (YCSB-style).
 //
 // All generators are seeded explicitly and never touch global state, so
 // every experiment in the repository is reproducible bit-for-bit.
@@ -104,12 +104,4 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, like rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -47,9 +47,6 @@ func zeta(n uint64, theta float64) float64 {
 	return sum
 }
 
-// N returns the number of items.
-func (z *Zipf) N() uint64 { return z.n }
-
 // Next draws the next Zipfian-distributed value in [0, n), with 0 the
 // hottest item.
 func (z *Zipf) Next() uint64 {
@@ -100,47 +97,4 @@ func NewScrambledZipf(rng *RNG, n uint64, theta float64) *ScrambledZipf {
 // Next draws the next key in [0, n).
 func (s *ScrambledZipf) Next() uint64 {
 	return fnv64(s.z.Next()) % s.z.n
-}
-
-// Pareto draws values in [0, n) where the rank-frequency relationship
-// follows a bounded Pareto distribution with shape alpha. Like Zipf, small
-// values are the most frequent. Memory-access literature (and the ArtMem
-// paper, §4.3) observes page heat follows Zipf/Pareto shapes; this
-// generator backs the synthetic pattern engine.
-type Pareto struct {
-	rng   *RNG
-	n     float64
-	shape float64
-	// Precomputed bounds of the inverse CDF for the bounded Pareto on
-	// [1, n+1): la = L^alpha with L=1, ha = H^-alpha.
-	ha float64
-}
-
-// NewPareto returns a bounded Pareto generator over [0, n) with the given
-// shape (> 0). Larger shapes concentrate mass on small values.
-func NewPareto(rng *RNG, n uint64, shape float64) *Pareto {
-	if n == 0 {
-		panic("dist: NewPareto with zero n")
-	}
-	if shape <= 0 {
-		panic("dist: NewPareto shape must be positive")
-	}
-	return &Pareto{
-		rng:   rng,
-		n:     float64(n),
-		shape: shape,
-		ha:    math.Pow(float64(n)+1, -shape),
-	}
-}
-
-// Next draws the next Pareto-distributed value in [0, n).
-func (p *Pareto) Next() uint64 {
-	u := p.rng.Float64()
-	// Inverse CDF of bounded Pareto on [L=1, H=n+1].
-	x := math.Pow(1-u*(1-p.ha), -1/p.shape)
-	v := uint64(x - 1)
-	if v >= uint64(p.n) {
-		v = uint64(p.n) - 1
-	}
-	return v
 }

@@ -69,9 +69,6 @@ func New(numPages int, coolingPeriod uint64) *Histogram {
 	return h
 }
 
-// NumPages returns the size of the tracked page space.
-func (h *Histogram) NumPages() int { return len(h.counts) }
-
 // Record notes one sampled access to page p, updating its bin
 // assignment, and performs a cooling pass when the cooling period
 // elapses. It reports whether this call triggered a cooling.
@@ -96,18 +93,6 @@ func (h *Histogram) Record(p memsim.PageID) (cooled bool) {
 // Count returns page p's current EMA access count.
 func (h *Histogram) Count(p memsim.PageID) uint32 { return h.counts[p] }
 
-// Bin returns page p's current bin index.
-func (h *Histogram) Bin(p memsim.PageID) int { return BinOf(h.counts[p]) }
-
-// BinPages returns the number of pages currently in bin b.
-func (h *Histogram) BinPages(b int) int { return h.bins[b] }
-
-// Coolings returns how many cooling passes have run.
-func (h *Histogram) Coolings() uint64 { return h.coolings }
-
-// TotalSamples returns the number of recorded samples.
-func (h *Histogram) TotalSamples() uint64 { return h.totalSamples }
-
 // Cool halves every page's count and rebuilds the bin distribution —
 // the paper's cooling operation that gradually discounts stale accesses.
 func (h *Histogram) Cool() {
@@ -121,31 +106,6 @@ func (h *Histogram) Cool() {
 	}
 	h.coolings++
 	h.samplesSinceCool = 0
-}
-
-// PagesAtOrAbove returns how many pages have count ≥ threshold. For
-// thresholds on bin boundaries this is a bin-sum; otherwise the partial
-// bin is counted exactly.
-func (h *Histogram) PagesAtOrAbove(threshold uint32) int {
-	if threshold == 0 {
-		return len(h.counts)
-	}
-	b := BinOf(threshold)
-	n := 0
-	for i := b + 1; i < NumBins; i++ {
-		n += h.bins[i]
-	}
-	if BinLower(b) == threshold {
-		// Exactly on the bin's lower bound: the whole bin qualifies.
-		return n + h.bins[b]
-	}
-	// Partial bin: count exactly.
-	for _, c := range h.counts {
-		if c >= threshold && BinOf(c) == b {
-			n++
-		}
-	}
-	return n
 }
 
 // CapacityThreshold returns the MEMTIS-style hotness threshold for a
@@ -183,17 +143,4 @@ func (h *Histogram) CapacityThreshold(capPages int) uint32 {
 		return BinLower(hottest)
 	}
 	return BinLower(lastFit)
-}
-
-// Reset zeroes all counts and bins (used when a policy detects a
-// workload change, e.g. Tiering-0.8's threshold reset).
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.bins[0] = len(h.counts)
-	h.samplesSinceCool = 0
 }

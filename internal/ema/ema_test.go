@@ -89,11 +89,11 @@ func TestRecordAndBins(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.Record(1)
 	}
-	if h.Count(0) != 16 || h.Bin(0) != 5 {
-		t.Errorf("page 0: count=%d bin=%d, want 16/5", h.Count(0), h.Bin(0))
+	if h.Count(0) != 16 || BinOf(h.Count(0)) != 5 {
+		t.Errorf("page 0: count=%d bin=%d, want 16/5", h.Count(0), BinOf(h.Count(0)))
 	}
-	if h.Count(1) != 3 || h.Bin(1) != 2 {
-		t.Errorf("page 1: count=%d bin=%d, want 3/2", h.Count(1), h.Bin(1))
+	if h.Count(1) != 3 || BinOf(h.Count(1)) != 2 {
+		t.Errorf("page 1: count=%d bin=%d, want 3/2", h.Count(1), BinOf(h.Count(1)))
 	}
 	if h.BinPages(0) != 2 || h.BinPages(2) != 1 || h.BinPages(5) != 1 {
 		t.Errorf("bins: %d/%d/%d", h.BinPages(0), h.BinPages(2), h.BinPages(5))
@@ -113,8 +113,8 @@ func TestCoolingHalves(t *testing.T) {
 	if h.Count(0) != 8 || h.Count(1) != 0 {
 		t.Errorf("after cool: counts %d/%d, want 8/0", h.Count(0), h.Count(1))
 	}
-	if h.Bin(0) != 4 || h.Bin(1) != 0 {
-		t.Errorf("after cool: bins %d/%d, want 4/0", h.Bin(0), h.Bin(1))
+	if BinOf(h.Count(0)) != 4 || BinOf(h.Count(1)) != 0 {
+		t.Errorf("after cool: bins %d/%d, want 4/0", BinOf(h.Count(0)), BinOf(h.Count(1)))
 	}
 	if h.Coolings() != 1 {
 		t.Errorf("Coolings = %d", h.Coolings())
@@ -220,22 +220,6 @@ func TestCapacityThresholdEmpty(t *testing.T) {
 	h := New(10, 0)
 	if got := h.CapacityThreshold(5); got != 1 {
 		t.Errorf("empty histogram threshold = %d, want 1", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := New(4, 0)
-	for i := 0; i < 100; i++ {
-		h.Record(memsim.PageID(i % 4))
-	}
-	h.Reset()
-	for p := memsim.PageID(0); p < 4; p++ {
-		if h.Count(p) != 0 {
-			t.Errorf("page %d count %d after reset", p, h.Count(p))
-		}
-	}
-	if h.BinPages(0) != 4 {
-		t.Errorf("bin0 = %d after reset", h.BinPages(0))
 	}
 }
 

@@ -46,20 +46,6 @@ func QuickOptions() Options {
 	return Options{Profile: workloads.QuickProfile(), Quick: true}
 }
 
-// BenchOptions returns the scale used by the repository's testing.B
-// benchmarks: large enough for the shapes to emerge, small enough that
-// the full suite finishes in minutes.
-func BenchOptions() Options {
-	return Options{
-		Profile: workloads.Profile{
-			Div:             128,
-			PatternAccesses: 12_000_000,
-			AppAccesses:     3_000_000,
-			Seed:            1,
-		},
-	}
-}
-
 func (o *Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		o.Log(format, args...)
@@ -176,23 +162,6 @@ func (o Options) ArtMemPolicy(cfg core.Config) *core.ArtMem {
 	cfg.PretrainedMig = mig
 	cfg.PretrainedThr = thr
 	return core.New(cfg)
-}
-
-// AllPolicies returns the eight evaluated systems: the seven baselines
-// of Table 1 plus ArtMem (pretrained).
-func (o Options) AllPolicies() []policies.Factory {
-	fs := []policies.Factory{}
-	for _, f := range policies.Baselines() {
-		if f.Name == "Static" {
-			continue // Static is only the Figure 2 normalization baseline
-		}
-		fs = append(fs, f)
-	}
-	fs = append(fs, policies.Factory{
-		Name: "ArtMem",
-		New:  func() policies.Policy { return o.ArtMemPolicy(core.Config{}) },
-	})
-	return fs
 }
 
 // ---- shared run helpers ------------------------------------------------------

@@ -1,12 +1,17 @@
 package exp
 
 import (
+	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"artmem/internal/harness"
 	"artmem/internal/sched"
+	"artmem/internal/telemetry"
 	"artmem/internal/workloads"
 )
 
@@ -69,7 +74,8 @@ func TestChaosGridMixedExperiments(t *testing.T) {
 	// Tiny traces: the point is interleaving, not fidelity, and the race
 	// detector multiplies every access.
 	o.Profile = workloads.Profile{Div: 512, PatternAccesses: 80_000, AppAccesses: 40_000, Seed: 1}
-	o.Sched = sched.New(sched.Config{Workers: 8, Cache: sched.NewCache("")})
+	m := sched.NewMetrics(telemetry.NewRegistry())
+	o.Sched = sched.New(sched.Config{Workers: 8, Cache: sched.NewCache(""), Metrics: m})
 
 	ids := []string{"fig2", "fig4", "fig9", "fig16c"}
 	const runsPer = 2
@@ -111,8 +117,7 @@ func TestChaosGridMixedExperiments(t *testing.T) {
 
 	// Every one of the second runs should have been served by the shared
 	// cache (computed at most once per distinct key).
-	done, total := o.Sched.Progress()
-	if done != total {
+	if done, total := m.CellsDone.Value(), m.CellsTotal.Value(); done != total {
 		t.Errorf("progress = %d/%d, want all cells accounted", done, total)
 	}
 }
@@ -126,8 +131,33 @@ func TestDefaultSchedulerIsSerialAndCached(t *testing.T) {
 	if s == nil {
 		t.Fatal("nil fallback scheduler")
 	}
-	if s.Workers() != 1 {
-		t.Errorf("fallback workers = %d, want 1 (serial)", s.Workers())
+	// Serial: no two cells overlap, and they run in declaration order.
+	var (
+		mu      sync.Mutex
+		order   []int
+		running atomic.Int32
+		overlap atomic.Bool
+	)
+	cells := make([]sched.Cell, 16)
+	for i := range cells {
+		cells[i] = sched.Cell{
+			Key: fmt.Sprintf("TestDefaultSchedulerIsSerialAndCached/%d", i),
+			Run: func() harness.Result {
+				if running.Add(1) > 1 {
+					overlap.Store(true)
+				}
+				runtime.Gosched()
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+				running.Add(-1)
+				return harness.Result{}
+			},
+		}
+	}
+	s.RunGrid(cells)
+	if overlap.Load() || !sort.IntsAreSorted(order) || len(order) != len(cells) {
+		t.Errorf("fallback ran cells in order %v (overlap %v), want serial declaration order", order, overlap.Load())
 	}
 	if s2 := o.scheduler(); s2 != s {
 		t.Error("fallback scheduler not process-wide")

@@ -201,9 +201,6 @@ func New(cfg Config) *Injector {
 	}
 }
 
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config { return i.cfg }
-
 // Stats returns a snapshot of the fault counters.
 func (i *Injector) Stats() Stats { return i.stats }
 

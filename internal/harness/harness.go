@@ -170,15 +170,6 @@ type Result struct {
 	RatioSeries     stats.Series
 }
 
-// BandwidthGBps returns the achieved memory bandwidth implied by the
-// run: 64 bytes per miss over the execution time.
-func (r Result) BandwidthGBps() float64 {
-	if r.ExecNs == 0 {
-		return 0
-	}
-	return float64(r.Misses) * 64 / float64(r.ExecNs)
-}
-
 // OverheadFraction returns background CPU time relative to execution
 // time (the §6.4 overhead metric).
 func (r Result) OverheadFraction() float64 {

@@ -114,9 +114,6 @@ func TestRunProducesConsistentResult(t *testing.T) {
 	if r.Misses == 0 || r.Misses > uint64(r.Accesses) {
 		t.Errorf("misses = %d of %d", r.Misses, r.Accesses)
 	}
-	if r.BandwidthGBps() <= 0 {
-		t.Errorf("bandwidth = %g", r.BandwidthGBps())
-	}
 }
 
 func TestRunDeterministic(t *testing.T) {
@@ -193,9 +190,6 @@ func TestOverheadFraction(t *testing.T) {
 	}
 	if got := (Result{}).OverheadFraction(); got != 0 {
 		t.Errorf("zero-exec OverheadFraction = %g", got)
-	}
-	if got := (Result{}).BandwidthGBps(); got != 0 {
-		t.Errorf("zero-exec BandwidthGBps = %g", got)
 	}
 }
 

@@ -26,11 +26,6 @@ type StageStats struct {
 	P99Ns int64
 }
 
-// TotalNs returns the sum of the per-stage totals.
-func (s StageStats) TotalNs() int64 {
-	return s.DecodeNs + s.QueueNs + s.StallNs + s.CoalesceNs + s.ApplyNs + s.AckNs
-}
-
 // AvgNs divides a stage total by the span count, 0 when empty.
 func (s StageStats) AvgNs(total int64) int64 {
 	if s.Spans == 0 {

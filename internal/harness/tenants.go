@@ -59,15 +59,6 @@ type TenantResult struct {
 	Preemptions uint64
 }
 
-// Throughput returns the tenant's accesses per microsecond of
-// application time; 0 when no time was charged.
-func (t TenantResult) Throughput() float64 {
-	if t.AppNs == 0 {
-		return 0
-	}
-	return float64(t.Accesses) * 1e3 / t.AppNs
-}
-
 // JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) over the
 // values, in (0,1]; 1 is perfectly fair. Degenerate all-zero input
 // reports 1.

@@ -34,22 +34,11 @@ type Config struct {
 	ValueTouchStride int64
 }
 
-// DefaultConfig returns a store layout for about numItems records of 1KB.
-func DefaultConfig(base uint64, numItems int) Config {
-	return Config{
-		Base:        base,
-		NumBuckets:  numItems,
-		BucketBytes: 64,
-		ValueBytes:  1024,
-	}
-}
-
 // Store is the key-value store. It is not safe for concurrent use.
 type Store struct {
 	cfg      Config
 	slabBase uint64
 	nextSlab uint64
-	end      uint64
 	// items maps key → virtual value address. This is the only real
 	// memory the store consumes (16 bytes per item plus map overhead).
 	items map[uint64]uint64
@@ -71,24 +60,14 @@ func New(cfg Config) *Store {
 	}
 	s.slabBase = cfg.Base + uint64(cfg.NumBuckets)*uint64(cfg.BucketBytes)
 	s.nextSlab = s.slabBase
-	s.end = s.slabBase
 	return s
 }
-
-// Len returns the number of stored items.
-func (s *Store) Len() int { return len(s.items) }
-
-// Footprint returns the virtual bytes spanned so far (index + slabs).
-func (s *Store) Footprint() int64 { return int64(s.end - s.cfg.Base) }
 
 // FootprintFor predicts the footprint after storing numItems items.
 func (c Config) FootprintFor(numItems int) int64 {
 	vb := c.ValueBytes
 	return int64(c.NumBuckets)*c.BucketBytes + int64(numItems)*vb
 }
-
-// Stats returns operation counters: total gets, puts, and get hits.
-func (s *Store) Stats() (gets, puts, hits uint64) { return s.gets, s.puts, s.hits }
 
 // bucketAddr returns the index-bucket address for a key.
 func (s *Store) bucketAddr(key uint64) uint64 {
@@ -111,7 +90,6 @@ func (s *Store) Put(key uint64, touch Touch) {
 	if !ok {
 		addr = s.nextSlab
 		s.nextSlab += uint64(s.cfg.ValueBytes)
-		s.end = s.nextSlab
 		s.items[key] = addr
 	}
 	s.touchValue(addr, true, touch)

@@ -40,8 +40,8 @@ func TestPutThenGet(t *testing.T) {
 	s := testStore()
 	touch, _, _ := collect()
 	s.Put(42, touch)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.items) != 1 {
+		t.Fatalf("Len = %d", len(s.items))
 	}
 	if !s.Get(42, touch) {
 		t.Fatal("Get(42) missed after Put")
@@ -156,18 +156,6 @@ func TestFootprintFor(t *testing.T) {
 	}
 }
 
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig(4096, 1000)
-	if cfg.Base != 4096 || cfg.NumBuckets != 1000 || cfg.ValueBytes != 1024 {
-		t.Errorf("DefaultConfig = %+v", cfg)
-	}
-	s := New(cfg)
-	s.Put(1, func(uint64, bool) {})
-	if s.Footprint() <= 0 {
-		t.Error("footprint not positive after a put")
-	}
-}
-
 // Property: Get hits exactly the set of keys previously Put, and all
 // touches stay within [Base, Base+Footprint).
 func TestStoreConsistencyProperty(t *testing.T) {
@@ -191,7 +179,7 @@ func TestStoreConsistencyProperty(t *testing.T) {
 				return false
 			}
 		}
-		return ok && s.Len() == len(inStore)
+		return ok && len(s.items) == len(inStore)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -199,7 +187,7 @@ func TestStoreConsistencyProperty(t *testing.T) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	s := New(DefaultConfig(0, 100000))
+	s := New(Config{NumBuckets: 100000, BucketBytes: 64, ValueBytes: 1024})
 	nop := func(uint64, bool) {}
 	for k := uint64(0); k < 100000; k++ {
 		s.Put(k, nop)

@@ -98,9 +98,9 @@ func diffAge(got, want *ageProbe) string {
 			return fmt.Sprintf("%v: Len or Tail differs", id)
 		}
 	}
-	for i := 0; i < got.l.NumPages(); i++ {
+	for i := 0; i < len(got.l.list); i++ {
 		p := memsim.PageID(i)
-		if got.l.ListOf(p) != want.l.ListOf(p) || got.l.Prev(p) != want.l.Prev(p) ||
+		if got.l.ListOf(p) != want.l.ListOf(p) || got.l.prev[p] != want.l.prev[p] ||
 			got.l.Next(p) != want.l.Next(p) {
 			return fmt.Sprintf("ListOf/Prev/Next of page %d differ", p)
 		}
@@ -162,7 +162,7 @@ func replayCellLists() (l *PageLists, rearm func(), referenced func(memsim.PageI
 
 func TestAgeAllocs(t *testing.T) {
 	l, rearm, referenced := replayCellLists()
-	scan := l.NumPages()/4 + 1
+	scan := len(l.list)/4 + 1
 	for _, tier := range []memsim.TierID{memsim.Fast, memsim.Slow} {
 		allocs := testing.AllocsPerRun(20, func() {
 			rearm()
@@ -178,7 +178,7 @@ func TestAgeAllocs(t *testing.T) {
 // both tiers at scanQuota = NumPages/4+1, half the pages referenced.
 func BenchmarkAge(b *testing.B) {
 	l, rearm, referenced := replayCellLists()
-	scan := l.NumPages()/4 + 1
+	scan := len(l.list)/4 + 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -69,20 +69,6 @@ func InactiveOf(t memsim.TierID) ListID {
 	return SlowInactive
 }
 
-// TierOf returns the tier a list belongs to. It panics for None.
-func TierOf(id ListID) memsim.TierID {
-	switch id {
-	case FastActive, FastInactive:
-		return memsim.Fast
-	case SlowActive, SlowInactive:
-		return memsim.Slow
-	}
-	panic("lru: TierOf(None)")
-}
-
-// IsActive reports whether id is an active list.
-func IsActive(id ListID) bool { return id == FastActive || id == SlowActive }
-
 // PageLists holds the four lists over a fixed page space.
 type PageLists struct {
 	prev, next []memsim.PageID
@@ -122,9 +108,6 @@ func New(numPages int) *PageLists {
 	return l
 }
 
-// NumPages returns the size of the page space.
-func (l *PageLists) NumPages() int { return len(l.list) }
-
 // ListOf returns the list page p currently belongs to (None if unlisted).
 func (l *PageLists) ListOf(p memsim.PageID) ListID { return l.list[p] }
 
@@ -140,17 +123,6 @@ func (l *PageLists) Tail(id ListID) memsim.PageID { return l.tail[id] }
 
 // Next returns the page after p toward the tail, or memsim.NoPage.
 func (l *PageLists) Next(p memsim.PageID) memsim.PageID { return l.next[p] }
-
-// Prev returns the page before p toward the head, or memsim.NoPage.
-func (l *PageLists) Prev(p memsim.PageID) memsim.PageID { return l.prev[p] }
-
-// Remove takes page p off whatever list it is on. Removing an unlisted
-// page is a no-op.
-func (l *PageLists) Remove(p memsim.PageID) {
-	if from := l.remove(p); from != None && l.transition != nil {
-		l.transition(p, from, None)
-	}
-}
 
 // remove unlinks p without firing the transition hook and returns the
 // list it was on (None if unlisted). PushHead uses it so a move fires one

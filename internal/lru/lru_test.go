@@ -17,9 +17,6 @@ func TestListIDHelpers(t *testing.T) {
 	if TierOf(FastActive) != memsim.Fast || TierOf(SlowInactive) != memsim.Slow {
 		t.Error("TierOf wrong")
 	}
-	if !IsActive(FastActive) || !IsActive(SlowActive) || IsActive(FastInactive) || IsActive(None) {
-		t.Error("IsActive wrong")
-	}
 	for id := None; id < numLists; id++ {
 		if id.String() == "" {
 			t.Errorf("empty String for %d", id)

@@ -76,9 +76,6 @@ func (h *BoundaryHub) SetBudgets(b *tier.Budgets) {
 	h.budgets = b
 }
 
-// Budgets returns the installed budgets, or nil.
-func (h *BoundaryHub) Budgets() *tier.Budgets { return h.budgets }
-
 // View returns boundary b's two-tier Env (tier b = Fast, b+1 = Slow).
 func (h *BoundaryHub) View(b int) *BoundaryView {
 	if b < 0 || b >= h.nb {
@@ -137,9 +134,6 @@ type BoundaryView struct {
 	lo  TierID // the boundary's fast side; slow side is lo+1
 	cfg Config // synthesized two-tier view of the pair
 }
-
-// Boundary returns the boundary index the view covers.
-func (v *BoundaryView) Boundary() int { return int(v.lo) }
 
 // Config returns a two-tier Config describing the boundary's tier pair
 // (latency, bandwidth, and capacity of tiers lo and lo+1).

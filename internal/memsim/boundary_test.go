@@ -162,9 +162,7 @@ func TestBoundaryBudgets(t *testing.T) {
 	for p := 0; p < 12; p++ {
 		m.Access(uint64(p)*4096, false)
 	}
-	b := tier.NewBudgets(hub.NumBoundaries(), 0)
-	b.SetLimit(1, 2) // meter boundary 1 only
-	b.Reset()
+	b := tier.NewBudgets(hub.NumBoundaries(), 2)
 	hub.SetBudgets(b)
 
 	v1 := hub.View(1)
@@ -182,20 +180,17 @@ func TestBoundaryBudgets(t *testing.T) {
 	if !errors.Is(err, ErrTierFull) {
 		t.Fatal("budget exhaustion must read as ErrTierFull to end migration periods")
 	}
-	// Boundary 0 is unmetered.
+	// Boundary 0 keeps its own budget.
 	if err := v1.MovePage(m.PageOf(0), Slow); !errors.Is(err, ErrNotInBoundary) {
 		t.Fatal("sanity: DRAM page is not boundary 1's")
 	}
 	if err := hub.View(0).MovePage(m.PageOf(0), Slow); err != nil {
-		t.Fatalf("unmetered boundary 0: %v", err)
+		t.Fatalf("boundary 0 after boundary 1 ran dry: %v", err)
 	}
-	// Refusals must not burn budget: remaining is 0 only from the two
-	// successful takes.
-	if got := b.Remaining(1); got != 0 {
-		t.Fatalf("boundary 1 remaining %d, want 0", got)
-	}
-	if got := b.Remaining(0); got != -1 {
-		t.Fatalf("boundary 0 remaining %d, want unmetered (-1)", got)
+	// Refusals must not burn budget: boundary 0 has one unit left after
+	// its one move, and boundary 1 none after its two.
+	if !b.Take(0) || b.Take(0) || b.Take(1) {
+		t.Fatal("budget takes do not match the successful moves")
 	}
 	// A period reset restores the limit.
 	b.Reset()

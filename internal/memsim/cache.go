@@ -89,10 +89,3 @@ func (c *cacheModel) evictLines(startLine uint64, n int64) {
 		}
 	}
 }
-
-// flush invalidates the whole cache. Used by tests and by workload phase
-// changes that model context switches.
-func (c *cacheModel) flush() { clear(c.tags) }
-
-// FlushCache invalidates the machine's CPU cache model.
-func (m *Machine) FlushCache() { m.cache.flush() }

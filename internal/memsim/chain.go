@@ -37,21 +37,6 @@ func (m *Machine) ShadowPages(t TierID) int {
 	return m.sh.Count(int(t))
 }
 
-// ResidentPages returns the pages whose authoritative copy lives in
-// tier t — UsedPages minus shadow frames.
-func (m *Machine) ResidentPages(t TierID) int {
-	return m.used[t] - m.ShadowPages(t)
-}
-
-// ShadowOf reports the tier holding page p's shadow copy, if any.
-func (m *Machine) ShadowOf(p PageID) (TierID, bool) {
-	if m.sh == nil {
-		return 0, false
-	}
-	st, ok := m.sh.At(uint32(p))
-	return TierID(st), ok
-}
-
 // BoundaryStats is migration activity across one tier boundary
 // (boundary b = the edge between tiers b and b+1).
 type BoundaryStats struct {

@@ -143,7 +143,3 @@ func (m *Machine) ResetTenant(t TenantID) error {
 // without any per-access bookkeeping (the same five-constant-costs
 // property AccessLatencyData exploits machine-wide).
 func (m *Machine) ReadCostNs(t TierID) float64 { return m.readCostNs[t] }
-
-// WriteCostNs returns the model cost of a cache-missing write served by
-// tier t.
-func (m *Machine) WriteCostNs(t TierID) float64 { return m.writeCostNs[t] }

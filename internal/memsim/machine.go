@@ -457,14 +457,6 @@ func (m *Machine) advance(ns float64) {
 	m.clockFrac -= float64(whole)
 }
 
-// AdvanceIdle advances the virtual clock by ns without any memory
-// activity (compute-only phases in workload models).
-func (m *Machine) AdvanceIdle(ns float64) {
-	if ns > 0 {
-		m.advance(ns)
-	}
-}
-
 // allocate performs first-touch placement: fastest tier first,
 // overflowing down the chain tier by tier (the paper's setup: "ArtMem
 // first places pages in fast memory before overflowing to the slower
@@ -709,12 +701,6 @@ func (m *Machine) TestAndClearAccessed(p PageID) bool {
 	m.accessed[p] = false
 	return a
 }
-
-// Accessed returns the page's accessed bit without clearing it.
-func (m *Machine) Accessed(p PageID) bool { return m.accessed[p] }
-
-// Dirty returns whether the page has been written since allocation.
-func (m *Machine) Dirty(p PageID) bool { return m.dirty[p] }
 
 // CheckInvariants verifies the machine's page accounting: per-tier used
 // counters match a full recount of the tier map over allocated pages

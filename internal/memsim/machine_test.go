@@ -598,7 +598,7 @@ func TestMachinePageTrace(t *testing.T) {
 	if err := m.MovePage(p, Fast); err != nil {
 		t.Fatal(err)
 	}
-	ev := pt.PageEvents(uint64(p))
+	ev := pt.Events(0) // only page p was touched
 	if len(ev) != 3 {
 		t.Fatalf("traced %d events, want 3 (alloc + 2 migrations): %+v", len(ev), ev)
 	}
@@ -643,8 +643,8 @@ func TestMachinePageTraceTierFull(t *testing.T) {
 		t.Fatalf("MovePage = %v, want ErrTierFull", err)
 	}
 	var found bool
-	for _, e := range pt.PageEvents(uint64(slow)) {
-		if e.Kind == telemetry.PageKindMigration && e.Outcome == telemetry.OutcomeTierFull {
+	for _, e := range pt.Events(0) {
+		if e.Page == uint64(slow) && e.Kind == telemetry.PageKindMigration && e.Outcome == telemetry.OutcomeTierFull {
 			found = true
 		}
 	}

@@ -92,15 +92,6 @@ func (m *Machine) EnableTenants(n int) {
 	}
 }
 
-// NumTenants returns the number of tenants, or 1 when multi-tenant
-// accounting is disabled.
-func (m *Machine) NumTenants() int {
-	if m.ts == nil {
-		return 1
-	}
-	return len(m.ts.used)
-}
-
 // SetCurrentTenant sets the tenant charged for subsequent accesses and
 // first-touch allocations — the analogue of which cgroup's task is on
 // CPU. A no-op on single-tenant machines.

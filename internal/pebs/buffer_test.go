@@ -152,8 +152,8 @@ func TestDrainNeverRedeliversAfterPanic(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("panicking drain delivered %v, want three samples", seen)
 	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d after the panicking drain, want 0", s.Pending())
+	if s.Stats().Pending != 0 {
+		t.Errorf("Pending = %d after the panicking drain, want 0", s.Stats().Pending)
 	}
 	s.OnMiss(100, memsim.Slow, true, 10)
 	var again []memsim.PageID

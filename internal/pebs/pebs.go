@@ -176,9 +176,6 @@ func (s *Sampler) Drain(fn func(Sample)) int {
 	return len(pending)
 }
 
-// Pending returns the number of undrained samples.
-func (s *Sampler) Pending() int { return s.count }
-
 // Dropped returns the cumulative number of samples lost to buffer
 // overflow (genuine or injected).
 func (s *Sampler) Dropped() uint64 { return s.dropped }

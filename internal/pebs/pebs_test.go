@@ -16,8 +16,8 @@ func TestSamplingPeriod(t *testing.T) {
 	if s.Total() != 10 {
 		t.Errorf("Total = %d, want 10 (period 10, 100 events)", s.Total())
 	}
-	if s.Pending() != 10 {
-		t.Errorf("Pending = %d, want 10", s.Pending())
+	if s.Stats().Pending != 10 {
+		t.Errorf("Pending = %d, want 10", s.Stats().Pending)
 	}
 	// The recorded pages must be every 10th event (the 10th, 20th, ...).
 	var pages []memsim.PageID
@@ -56,8 +56,8 @@ func TestRingOverflowDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.OnMiss(memsim.PageID(i), memsim.Fast, false, int64(i))
 	}
-	if s.Pending() != 4 {
-		t.Errorf("Pending = %d, want 4 (ring size)", s.Pending())
+	if s.Stats().Pending != 4 {
+		t.Errorf("Pending = %d, want 4 (ring size)", s.Stats().Pending)
 	}
 	if s.Dropped() != 6 {
 		t.Errorf("Dropped = %d, want 6", s.Dropped())
@@ -81,8 +81,8 @@ func TestDrainEmptiesAndReturnsCount(t *testing.T) {
 	if n := s.Drain(func(Sample) {}); n != 5 {
 		t.Errorf("Drain returned %d, want 5", n)
 	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending after drain = %d", s.Pending())
+	if s.Stats().Pending != 0 {
+		t.Errorf("Pending after drain = %d", s.Stats().Pending)
 	}
 	if n := s.Drain(func(Sample) { t.Error("callback on empty drain") }); n != 0 {
 		t.Errorf("second Drain returned %d", n)
@@ -172,7 +172,7 @@ func TestSampleConservationProperty(t *testing.T) {
 			if i%17 == 0 {
 				drained += uint64(s.Drain(func(Sample) {}))
 			}
-			if s.Total() != drained+uint64(s.Pending())+s.Dropped() {
+			if s.Total() != drained+uint64(s.Stats().Pending)+s.Dropped() {
 				return false
 			}
 		}
@@ -217,8 +217,8 @@ func TestInjectedSampleDropGoesFullyDark(t *testing.T) {
 	// A dropped sample is lost before anything observes it: no ring
 	// record, no window counts, no total — the signal goes dry, which is
 	// what drives ArtMem into its no-sample state.
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d inside drop window, want 0", s.Pending())
+	if s.Stats().Pending != 0 {
+		t.Errorf("Pending = %d inside drop window, want 0", s.Stats().Pending)
 	}
 	fast, slow := s.PeekWindowCounts()
 	if fast != 0 || slow != 0 {
@@ -232,7 +232,7 @@ func TestInjectedSampleDropGoesFullyDark(t *testing.T) {
 	}
 	// Outside the window, sampling resumes.
 	s.OnMiss(0, memsim.Fast, false, 200)
-	if s.Pending() != 1 || s.Total() != 1 {
+	if s.Stats().Pending != 1 || s.Total() != 1 {
 		t.Errorf("sampling did not resume after the window")
 	}
 }
@@ -245,8 +245,8 @@ func TestInjectedRingOverflowKeepsWindowCounts(t *testing.T) {
 	}
 	// Overflow loses the record but the PMU-side window counters
 	// survive, exactly like a genuine full buffer.
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d during overflow, want 0", s.Pending())
+	if s.Stats().Pending != 0 {
+		t.Errorf("Pending = %d during overflow, want 0", s.Stats().Pending)
 	}
 	fast, _ := s.PeekWindowCounts()
 	if fast != 50 {
@@ -256,7 +256,7 @@ func TestInjectedRingOverflowKeepsWindowCounts(t *testing.T) {
 		t.Errorf("Dropped = %d, want 50", s.Dropped())
 	}
 	s.OnMiss(0, memsim.Fast, false, 100)
-	if s.Pending() != 1 {
+	if s.Stats().Pending != 1 {
 		t.Error("ring did not recover after the overflow window")
 	}
 }
@@ -268,7 +268,7 @@ func TestSamplerPageTrace(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.OnMiss(7, memsim.Fast, false, int64(100+i))
 	}
-	ev := pt.PageEvents(7)
+	ev := pt.Events(0) // every event is page 7
 	if len(ev) != 5 {
 		t.Fatalf("traced %d sample events, want 5 (period 2, 10 misses)", len(ev))
 	}
@@ -289,7 +289,7 @@ func TestSamplerPageTrace(t *testing.T) {
 	s.SetPageTrace(nil)
 	s.OnMiss(7, memsim.Fast, false, 200)
 	s.OnMiss(7, memsim.Fast, false, 201)
-	if got := len(pt.PageEvents(7)); got != 5 {
+	if got := len(pt.Events(0)); got != 5 {
 		t.Errorf("journal grew to %d events after trace removal", got)
 	}
 }

@@ -89,10 +89,6 @@ func (mt *MEMTIS) Threshold() uint32 {
 	return mt.hist.CapacityThreshold(mt.m.CapacityPages(memsim.Fast))
 }
 
-// Histogram exposes the access histogram (used by tests and the Figure 4
-// experiment).
-func (mt *MEMTIS) Histogram() *ema.Histogram { return mt.hist }
-
 // Tick implements Policy.
 func (mt *MEMTIS) Tick(now int64) {
 	m := mt.m

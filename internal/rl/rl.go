@@ -67,18 +67,6 @@ var (
 	DefaultEpsilon = 0.3
 )
 
-// DefaultConfig returns the paper's hyperparameters for a table of the
-// given dimensions.
-func DefaultConfig(states, actions int) Config {
-	return Config{
-		States:  states,
-		Actions: actions,
-		Alpha:   DefaultAlpha,
-		Gamma:   DefaultGamma,
-		Epsilon: DefaultEpsilon,
-	}
-}
-
 // Table is one Q-table with its learning configuration. It is not safe
 // for concurrent use.
 type Table struct {

@@ -94,15 +94,6 @@ func New(cfg Config) *Scheduler {
 	return &Scheduler{workers: w, cache: cfg.Cache, log: cfg.Log, metrics: m}
 }
 
-// Workers returns the scheduler's worker bound.
-func (s *Scheduler) Workers() int { return s.workers }
-
-// Progress returns cells completed and cells declared since the
-// scheduler was created (across all grids).
-func (s *Scheduler) Progress() (done, total int64) {
-	return s.cellsDone.Load(), s.cellsTotal.Load()
-}
-
 // RunGrid executes every cell and returns the results indexed exactly
 // as the cells were: results[i] is cells[i]'s result regardless of the
 // order workers finished them. With Workers == 1 the cells run

@@ -49,10 +49,10 @@ func TestRunGridWritesResultsByIndex(t *testing.T) {
 }
 
 func TestSchedulerDefaultsWorkersToGOMAXPROCS(t *testing.T) {
-	if w := New(Config{}).Workers(); w < 1 {
+	if w := New(Config{}).workers; w < 1 {
 		t.Fatalf("default workers = %d", w)
 	}
-	if w := New(Config{Workers: 3}).Workers(); w != 3 {
+	if w := New(Config{Workers: 3}).workers; w != 3 {
 		t.Fatalf("explicit workers = %d, want 3", w)
 	}
 }
@@ -289,7 +289,7 @@ func TestMetricsAndProgress(t *testing.T) {
 		{Key: "b", Run: func() harness.Result { return harness.Result{ExecNs: 2} }},
 	}
 	s.RunGrid(cells)
-	done, total := s.Progress()
+	done, total := s.cellsDone.Load(), s.cellsTotal.Load()
 	if done != 3 || total != 3 {
 		t.Fatalf("progress = %d/%d, want 3/3", done, total)
 	}

@@ -93,8 +93,12 @@ func TestServeChainSystem(t *testing.T) {
 	// boundary is required to migrate: once first touch has filled the
 	// middle tier, boundary 0 has nowhere to demote into, and its
 	// periods stop at the full tier.
-	for b := 0; b < 2; b++ {
-		if sys.Agent(b).Decisions() == 0 {
+	bs := sys.TiersStatus().Boundaries
+	if len(bs) != 2 {
+		t.Fatalf("%d boundaries, want 2", len(bs))
+	}
+	for b, st := range bs {
+		if st.Decisions == 0 {
 			t.Errorf("boundary %d agent made no decisions", b)
 		}
 	}

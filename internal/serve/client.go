@@ -28,7 +28,6 @@ type Client struct {
 	nextSeq  uint64
 	err      error // terminal reader error (nil on clean Bye)
 	done     bool  // reader exited
-	drain    bool  // server announced drain
 
 	sent, acked, shed, lost uint64
 	ackedRecords            uint64
@@ -129,9 +128,6 @@ func (c *Client) readLoop() {
 				continue
 			}
 		case FrameDrain:
-			c.mu.Lock()
-			c.drain = true
-			c.mu.Unlock()
 			continue
 		case FrameBye:
 			terminal = nil
@@ -246,14 +242,6 @@ func (c *Client) write(frame []byte) error {
 		return err
 	}
 	return c.bw.Flush()
-}
-
-// Draining reports whether the server announced a drain; a polite
-// client stops submitting new batches then.
-func (c *Client) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.drain
 }
 
 // ClientStats is a stream's outcome ledger. Sent = Acked + Shed + Lost

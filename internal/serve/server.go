@@ -267,9 +267,6 @@ func (s *Server) countReject(code byte) {
 	}
 }
 
-// Slots returns the number of tenant slots served.
-func (s *Server) Slots() int { return len(s.queues) }
-
 // Submit offers one batch to slot's ingress queue. A nil return means
 // the batch was accepted: done (if non-nil) will be invoked exactly
 // once by the slot's pump — with Result.Err nil once every record is

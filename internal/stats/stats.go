@@ -1,13 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics, Pearson correlation (Figure 3),
-// normalization helpers, and time-series binning for the
+// experiment harness: the arithmetic and geometric mean, Pearson
+// correlation (Figure 3), and time-series binning for the
 // migrations-over-time plots (Figures 12 and 17).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -19,21 +16,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs, or 0 when
-// len(xs) < 2.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }
 
 // GeoMean returns the geometric mean of xs. Non-positive entries are
@@ -53,43 +35,6 @@ func GeoMean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs, or 0 for an empty slice. xs is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.
@@ -117,20 +62,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Normalize returns xs scaled so that base maps to 1.0. A zero base
-// yields a copy of xs unchanged.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		copy(out, xs)
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
 }
 
 // Series is a sampled time series: parallel slices of timestamps

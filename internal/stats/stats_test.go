@@ -17,15 +17,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{5}); got != 0 {
-		t.Errorf("StdDev single = %g", got)
-	}
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !close(got, 2) {
-		t.Errorf("StdDev = %g, want 2", got)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 4, 16}); !close(got, 4) {
 		t.Errorf("GeoMean = %g, want 4", got)
@@ -36,29 +27,6 @@ func TestGeoMean(t *testing.T) {
 	}
 	if got := GeoMean(nil); got != 0 {
 		t.Errorf("GeoMean(nil) = %g", got)
-	}
-}
-
-func TestMinMaxMedian(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if got := Min(xs); got != 1 {
-		t.Errorf("Min = %g", got)
-	}
-	if got := Max(xs); got != 5 {
-		t.Errorf("Max = %g", got)
-	}
-	if got := Median(xs); got != 3 {
-		t.Errorf("Median odd = %g", got)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); !close(got, 2.5) {
-		t.Errorf("Median even = %g", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median(nil) = %g", got)
-	}
-	// Median must not mutate its input.
-	if xs[0] != 3 {
-		t.Errorf("Median sorted its input")
 	}
 }
 
@@ -113,26 +81,6 @@ func TestPearsonBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !close(got[i], want[i]) {
-			t.Errorf("Normalize[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	// Zero base: unchanged copy.
-	src := []float64{1, 2}
-	got = Normalize(src, 0)
-	if got[0] != 1 || got[1] != 2 {
-		t.Errorf("Normalize base 0 altered values: %v", got)
-	}
-	got[0] = 99
-	if src[0] == 99 {
-		t.Error("Normalize returned an aliased slice")
 	}
 }
 

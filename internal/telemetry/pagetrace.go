@@ -180,26 +180,6 @@ func (t *PageTrace) Append(e PageEvent) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of retained events.
-func (t *PageTrace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
-// Total returns the number of events ever appended.
-func (t *PageTrace) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
 // Events returns up to n of the most recent events, oldest first
 // (n <= 0 returns everything retained). The slice is a copy.
 func (t *PageTrace) Events(n int) []PageEvent {
@@ -218,18 +198,6 @@ func (t *PageTrace) Events(n int) []PageEvent {
 	}
 	for i := 0; i < n; i++ {
 		out[i] = t.buf[(start+i)%len(t.buf)]
-	}
-	return out
-}
-
-// PageEvents returns every retained event for one page, oldest first —
-// the page's reconstructed lifecycle timeline.
-func (t *PageTrace) PageEvents(page uint64) []PageEvent {
-	var out []PageEvent
-	for _, e := range t.Events(0) {
-		if e.Page == page {
-			out = append(out, e)
-		}
 	}
 	return out
 }

@@ -13,7 +13,7 @@ func TestPageTraceNilIsNoOp(t *testing.T) {
 		t.Error("nil trace sampled a page")
 	}
 	pt.Append(PageEvent{Page: 1})
-	if pt.Len() != 0 || pt.Total() != 0 || pt.Events(0) != nil || pt.Rate() != 0 {
+	if pt.Events(0) != nil || pt.Rate() != 0 {
 		t.Error("nil trace accumulated state")
 	}
 }
@@ -64,13 +64,13 @@ func TestPageTraceRingEvictsOldest(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pt.Append(PageEvent{Page: uint64(i), Kind: PageKindSample})
 	}
-	if pt.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", pt.Len())
-	}
-	if pt.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", pt.Total())
-	}
 	ev := pt.Events(0)
+	if len(ev) != 4 {
+		t.Fatalf("retained %d events, want 4", len(ev))
+	}
+	if ev[3].Seq != 6 {
+		t.Fatalf("last seq = %d, want 6", ev[3].Seq)
+	}
 	for i, e := range ev {
 		if want := uint64(i + 2); e.Page != want {
 			t.Errorf("event %d: page %d, want %d (oldest evicted)", i, e.Page, want)
@@ -90,7 +90,19 @@ func TestPageTracePageEventsTimeline(t *testing.T) {
 	pt.Append(PageEvent{Page: 9, Kind: PageKindAlloc, Tier: "slow"})
 	pt.Append(PageEvent{Page: 7, Kind: PageKindSample, Tier: "fast"})
 	pt.Append(PageEvent{Page: 7, Kind: PageKindMigration, From: "fast", To: "slow", Outcome: OutcomeSettled})
-	tl := pt.PageEvents(7)
+	var b strings.Builder
+	if err := pt.WriteJSONL(&b, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	var tl []PageEvent
+	sc := bufio.NewScanner(strings.NewReader(b.String()))
+	for sc.Scan() {
+		var e PageEvent
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		tl = append(tl, e)
+	}
 	if len(tl) != 3 {
 		t.Fatalf("timeline length = %d, want 3", len(tl))
 	}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -268,16 +267,4 @@ func (m *SLOMonitor) Report() SLOReport {
 func (m *SLOMonitor) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(m.Report())
-}
-
-// ParseSLOClass maps a class name to its default objective — the
-// vocabulary shared by daemon flags and the register endpoint.
-func ParseSLOClass(name string) (SLOObjective, error) {
-	switch name {
-	case "latency":
-		return LatencySLO(), nil
-	case "", "batch":
-		return BatchSLO(), nil
-	}
-	return SLOObjective{}, fmt.Errorf("telemetry: unknown SLO class %q", name)
 }

@@ -123,15 +123,3 @@ func TestSLOReportSchema(t *testing.T) {
 		}
 	}
 }
-
-func TestParseSLOClass(t *testing.T) {
-	if o, err := ParseSLOClass("latency"); err != nil || o.Class != "latency" {
-		t.Fatalf("latency: %+v, %v", o, err)
-	}
-	if o, err := ParseSLOClass(""); err != nil || o.Class != "batch" {
-		t.Fatalf("empty: %+v, %v", o, err)
-	}
-	if _, err := ParseSLOClass("gold"); err == nil {
-		t.Fatal("unknown class accepted")
-	}
-}

@@ -155,16 +155,6 @@ func (j *SpanJournal) Append(s Span) {
 	j.mu.Unlock()
 }
 
-// Len returns the number of retained spans.
-func (j *SpanJournal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.count
-}
-
 // Total returns the number of spans ever appended.
 func (j *SpanJournal) Total() uint64 {
 	if j == nil {

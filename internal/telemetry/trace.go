@@ -97,16 +97,6 @@ func (t *Trace) Append(e Event) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of retained events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
 // Total returns the number of events ever appended (retained or
 // evicted).
 func (t *Trace) Total() uint64 {
@@ -138,15 +128,6 @@ func (t *Trace) Events(n int) []Event {
 		out[i] = t.buf[(start+i)%len(t.buf)]
 	}
 	return out
-}
-
-// Last returns the most recent event and whether one exists.
-func (t *Trace) Last() (Event, bool) {
-	ev := t.Events(1)
-	if len(ev) == 0 {
-		return Event{}, false
-	}
-	return ev[0], true
 }
 
 // WriteJSONL writes up to n of the most recent events (oldest first) as

@@ -13,18 +13,17 @@ func TestTraceAppendAndOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Append(Event{Kind: KindDecision, TimeNs: int64(i) * 10})
 	}
-	if tr.Len() != 5 || tr.Total() != 5 {
-		t.Fatalf("len=%d total=%d", tr.Len(), tr.Total())
-	}
 	ev := tr.Events(0)
+	if len(ev) != 5 || tr.Total() != 5 {
+		t.Fatalf("len=%d total=%d", len(ev), tr.Total())
+	}
 	for i, e := range ev {
 		if e.Seq != uint64(i+1) || e.TimeNs != int64(i)*10 {
 			t.Errorf("event %d = seq %d time %d", i, e.Seq, e.TimeNs)
 		}
 	}
-	last, ok := tr.Last()
-	if !ok || last.Seq != 5 {
-		t.Errorf("Last = %+v, %v", last, ok)
+	if last := tr.Events(1); len(last) != 1 || last[0].Seq != 5 {
+		t.Errorf("Events(1) = %+v", last)
 	}
 }
 
@@ -33,13 +32,13 @@ func TestTraceEviction(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		tr.Append(Event{State: i})
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tr.Len())
+	ev := tr.Events(0)
+	if len(ev) != 4 {
+		t.Fatalf("len = %d, want 4", len(ev))
 	}
 	if tr.Total() != 10 {
 		t.Fatalf("total = %d, want 10", tr.Total())
 	}
-	ev := tr.Events(0)
 	// Oldest retained must be state 7 (10 appended, 4 kept).
 	for i, want := range []int{7, 8, 9, 10} {
 		if ev[i].State != want {
@@ -58,8 +57,8 @@ func TestTraceEmptyReads(t *testing.T) {
 	if ev := tr.Events(0); len(ev) != 0 {
 		t.Errorf("empty trace returned %d events", len(ev))
 	}
-	if _, ok := tr.Last(); ok {
-		t.Error("Last on empty trace reported an event")
+	if ev := tr.Events(1); len(ev) != 0 {
+		t.Errorf("Events(1) on empty trace returned %d events", len(ev))
 	}
 	var b strings.Builder
 	if err := tr.WriteJSONL(&b, 0); err != nil || b.Len() != 0 {
@@ -109,14 +108,13 @@ func TestTraceConcurrent(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		tr.Events(16)
-		tr.Len()
 	}
 	wg.Wait()
 	if tr.Total() != 2000 {
 		t.Errorf("total = %d, want 2000", tr.Total())
 	}
-	if tr.Len() != 64 {
-		t.Errorf("len = %d, want 64", tr.Len())
+	if n := len(tr.Events(0)); n != 64 {
+		t.Errorf("len = %d, want 64", n)
 	}
 }
 

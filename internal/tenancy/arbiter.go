@@ -407,10 +407,6 @@ func (a *Arbiter) Preemptions(i int) uint64 { return a.preemptions[i] }
 // Rebalances returns how many dynamic quota rebalances have executed.
 func (a *Arbiter) Rebalances() uint64 { return a.rebalances }
 
-// WindowHitRatio returns slot i's hit ratio over the last rebalance
-// window, or -1 when the tenant had no traffic (or none has elapsed).
-func (a *Arbiter) WindowHitRatio(i int) float64 { return a.window[i] }
-
 // QuotaSum returns the sum of the active tenants' quotas — the
 // invariant checked by the churn chaos suite: equal to fast-tier
 // capacity whenever the active set fits (per-tenant floors can push it

@@ -13,7 +13,7 @@ func quotaSumOK(t *testing.T, p *Plane) {
 	if p.Arbiter().Mode() == ModeOff {
 		return
 	}
-	fastCap := p.Machine().CapacityPages(memsim.Fast)
+	fastCap := p.m.CapacityPages(memsim.Fast)
 	got := p.Arbiter().QuotaSum()
 	want := fastCap
 	if n := p.ActiveTenants(); n > fastCap {

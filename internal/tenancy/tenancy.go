@@ -139,9 +139,6 @@ func (p *Plane) View(i int) *TenantView { return p.views[i] }
 // Arbiter returns the fast-tier arbiter.
 func (p *Plane) Arbiter() *Arbiter { return p.arb }
 
-// Machine returns the underlying machine.
-func (p *Plane) Machine() *memsim.Machine { return p.m }
-
 // Stats returns a snapshot of the plane's lifecycle counters.
 func (p *Plane) Stats() LifecycleStats { return p.stats }
 

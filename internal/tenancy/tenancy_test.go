@@ -251,9 +251,9 @@ func TestDynamicRebalanceMovesQuotaDownTheGradient(t *testing.T) {
 	if sum := a.Quota(0) + a.Quota(1); sum != m.CapacityPages(memsim.Fast) {
 		t.Errorf("quotas sum to %d after rebalance, want %d", sum, m.CapacityPages(memsim.Fast))
 	}
-	if a.WindowHitRatio(0) <= a.WindowHitRatio(1) {
+	if a.window[0] <= a.window[1] {
 		t.Errorf("window ratios hot=%.2f cold=%.2f, want hot > cold",
-			a.WindowHitRatio(0), a.WindowHitRatio(1))
+			a.window[0], a.window[1])
 	}
 
 	// Determinism: the identical drive yields the identical quotas.

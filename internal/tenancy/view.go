@@ -29,9 +29,6 @@ type TenantView struct {
 
 var _ memsim.Env = (*TenantView)(nil)
 
-// ID returns the tenant's identifier.
-func (v *TenantView) ID() memsim.TenantID { return v.id }
-
 // Config implements memsim.Env.
 func (v *TenantView) Config() memsim.Config { return v.m.Config() }
 

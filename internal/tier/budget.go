@@ -29,13 +29,6 @@ func NewBudgets(nBoundaries, perBoundary int) *Budgets {
 // Boundaries returns the number of boundaries tracked.
 func (b *Budgets) Boundaries() int { return len(b.limit) }
 
-// SetLimit changes boundary i's per-period limit (0 = unmetered). The
-// new limit takes effect at the next Reset.
-func (b *Budgets) SetLimit(i, pages int) { b.limit[i] = pages }
-
-// Limit returns boundary i's per-period limit.
-func (b *Budgets) Limit(i int) int { return b.limit[i] }
-
 // Reset refills every boundary to its limit.
 func (b *Budgets) Reset() {
 	copy(b.left, b.limit)
@@ -52,13 +45,4 @@ func (b *Budgets) Take(i int) bool {
 	}
 	b.left[i]--
 	return true
-}
-
-// Remaining returns boundary i's remaining units this period, or -1 if
-// the boundary is unmetered.
-func (b *Budgets) Remaining(i int) int {
-	if b.limit[i] == 0 {
-		return -1
-	}
-	return b.left[i]
 }

@@ -20,7 +20,6 @@ type ShadowTable struct {
 	// tier t; pos[p] is p's index in its stack.
 	byTier [][]uint32
 	pos    []uint32
-	total  int
 }
 
 // NewShadowTable returns an empty table for numPages pages across
@@ -51,7 +50,6 @@ func (s *ShadowTable) Add(p uint32, t int) {
 	s.at[p] = uint8(t) + 1
 	s.pos[p] = uint32(len(s.byTier[t]))
 	s.byTier[t] = append(s.byTier[t], p)
-	s.total++
 }
 
 // Remove drops page p's shadow entry. It is a no-op if p has none.
@@ -68,7 +66,6 @@ func (s *ShadowTable) Remove(p uint32) {
 	stack[i] = last
 	s.pos[last] = i
 	s.byTier[t-1] = stack[:len(stack)-1]
-	s.total--
 }
 
 // PopReclaim evicts and returns the most recently added shadow in tier
@@ -83,12 +80,8 @@ func (s *ShadowTable) PopReclaim(t int) (uint32, bool) {
 	p := stack[len(stack)-1]
 	s.byTier[t] = stack[:len(stack)-1]
 	s.at[p] = 0
-	s.total--
 	return p, true
 }
 
 // Count returns the number of shadow frames currently held in tier t.
 func (s *ShadowTable) Count(t int) int { return len(s.byTier[t]) }
-
-// Total returns the number of shadow frames across all tiers.
-func (s *ShadowTable) Total() int { return s.total }

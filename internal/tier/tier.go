@@ -54,23 +54,6 @@ func (d *Desc) Unbounded() bool { return d.CapacityPages == 0 && d.CapacityPct =
 // Chain is an ordered tier hierarchy, fastest tier first.
 type Chain []Desc
 
-// NumBoundaries returns the number of adjacent tier pairs.
-func (c Chain) NumBoundaries() int {
-	if len(c) < 2 {
-		return 0
-	}
-	return len(c) - 1
-}
-
-// Names returns the tier names in chain order.
-func (c Chain) Names() []string {
-	out := make([]string, len(c))
-	for i := range c {
-		out[i] = c[i].Name
-	}
-	return out
-}
-
 // Validate checks the chain for structural soundness: 2..MaxTiers
 // tiers, unique well-formed names, strictly increasing latency down the
 // chain, positive bandwidths, and a positive capacity on every tier

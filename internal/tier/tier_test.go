@@ -208,35 +208,18 @@ func TestBudgets(t *testing.T) {
 	if !b.Take(0) || !b.Take(0) || b.Take(0) {
 		t.Fatal("boundary 0 should allow exactly 2 takes")
 	}
-	if b.Remaining(0) != 0 || b.Remaining(1) != 2 {
-		t.Fatalf("remaining: %d/%d", b.Remaining(0), b.Remaining(1))
+	if b.left[0] != 0 || b.left[1] != 2 {
+		t.Fatalf("remaining: %d/%d", b.left[0], b.left[1])
 	}
 	b.Reset()
-	if b.Remaining(0) != 2 {
+	if b.left[0] != 2 {
 		t.Fatal("Reset did not refill")
 	}
 	// Unmetered boundaries never exhaust.
-	b.SetLimit(2, 0)
-	b.Reset()
+	u := NewBudgets(1, 0)
 	for i := 0; i < 100; i++ {
-		if !b.Take(2) {
+		if !u.Take(0) {
 			t.Fatal("unmetered boundary exhausted")
 		}
-	}
-	if b.Remaining(2) != -1 {
-		t.Fatalf("unmetered Remaining = %d, want -1", b.Remaining(2))
-	}
-}
-
-func TestChainHelpers(t *testing.T) {
-	c := mustParse(t, "DRAM:12.5%/CXL:25%/PM")
-	if c.NumBoundaries() != 2 {
-		t.Fatalf("NumBoundaries = %d", c.NumBoundaries())
-	}
-	if got := c.Names(); !reflect.DeepEqual(got, []string{"DRAM", "CXL", "PM"}) {
-		t.Fatalf("Names = %v", got)
-	}
-	if Chain(nil).NumBoundaries() != 0 {
-		t.Fatal("nil chain should have 0 boundaries")
 	}
 }

@@ -325,16 +325,3 @@ func (s *sweepWorkload) Next() ([]Access, bool) {
 	}
 	return s.Workload.Next()
 }
-
-// Drain consumes and discards the whole workload, returning the number
-// of accesses. Useful in tests and for sizing traces.
-func Drain(w Workload) int64 {
-	var n int64
-	for {
-		b, ok := w.Next()
-		if !ok {
-			return n
-		}
-		n += int64(len(b))
-	}
-}

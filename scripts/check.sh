@@ -38,9 +38,10 @@
 #                      pebs, ema, ...) keep compiling and running.
 #  11. docs-check      doc comments on every package and exported
 #                      identifier, live relative links and #fragments in
-#                      the Markdown docs, and DESIGN.md section refs
-#                      (cmd/docscheck; the same command CI's docs-check
-#                      step runs).
+#                      the Markdown docs, DESIGN.md section refs, and no
+#                      exported function or method under internal/ that
+#                      only tests reference (cmd/docscheck; the same
+#                      command CI's docs-check step runs).
 #
 # Usage: scripts/check.sh  (or: make check)
 set -eu
