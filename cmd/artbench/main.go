@@ -40,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"artmem/internal/atomicfile"
 	"artmem/internal/exp"
 	"artmem/internal/sched"
 	"artmem/internal/telemetry"
@@ -234,32 +235,9 @@ func writeResults(dir string, quick bool, results []expResult) {
 		fmt.Fprintf(os.Stderr, "artbench: encoding results: %v\n", err)
 		return
 	}
-	tmp, err := os.CreateTemp(dir, ".bench-*.tmp")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "artbench: writing %s: %v\n", path, err)
-		return
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		fmt.Fprintf(os.Stderr, "artbench: writing %s: %v\n", path, firstErr(werr, cerr))
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "artbench: writing %s: %v\n", path, err)
 		return
 	}
 	fmt.Printf("### results written to %s\n", path)
-}
-
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

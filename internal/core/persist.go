@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"artmem/internal/atomicfile"
 	"artmem/internal/rl"
 )
 
@@ -89,13 +90,15 @@ func (a *ArtMem) RestoreQTables(r io.Reader) error {
 	return nil
 }
 
-// SaveQTablesFile writes the snapshot to path.
+// SaveQTablesFile writes the snapshot to path. The file is replaced
+// whole (atomicfile), so a reader or a crash never sees a torn
+// checkpoint.
 func (a *ArtMem) SaveQTablesFile(path string) error {
 	var buf bytes.Buffer
 	if err := a.SaveQTables(&buf); err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return atomicfile.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // RestoreQTablesFile loads a snapshot from path.

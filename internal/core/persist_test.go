@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"artmem/internal/dist"
@@ -193,4 +195,54 @@ func TestRestoreLeavesLiveTablesUntouchedOnCorruption(t *testing.T) {
 			t.Error("valid restore did not apply")
 		}
 	})
+}
+
+// TestQTableFileCheckpointNeverTorn saves changing tables to one path in
+// a loop while another agent restores from it: every restore must read
+// a whole checkpoint, and no temporary file may be left behind.
+func TestQTableFileCheckpointNeverTorn(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "q.bin")
+	writer, reader := New(Config{}), New(Config{})
+	writer.Attach(testMachine(16))
+	reader.Attach(testMachine(16))
+	if err := writer.SaveQTablesFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		mig, _ := writer.QTables()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mig.SetQ(i%12, i%9, float64(i))
+			if err := writer.SaveQTablesFile(path); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var restoreErr error
+	for i := 0; i < 2000 && restoreErr == nil; i++ {
+		restoreErr = reader.RestoreQTablesFile(path)
+	}
+	close(stop)
+	wg.Wait()
+	if restoreErr != nil {
+		t.Fatalf("restore during concurrent saves: %v", restoreErr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("checkpoint directory holds %d files, want only q.bin: %v", len(entries), entries)
+	}
 }
