@@ -70,8 +70,8 @@ func artmemID(train string, alg rl.Algorithm, cfg core.Config) string {
 	return fmt.Sprintf("ArtMem|train=%s|alg=%d|cfg=%+v", train, alg, c)
 }
 
-// allPolicySpecs returns the eight evaluated systems of AllPolicies as
-// grid specs.
+// allPolicySpecs returns the eight evaluated systems as grid specs: the
+// seven baselines of Table 1 plus ArtMem (pretrained).
 func (o Options) allPolicySpecs() []policySpec {
 	var ps []policySpec
 	for _, f := range policies.Baselines() {

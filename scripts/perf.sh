@@ -14,8 +14,10 @@
 # It then runs the kernel microbenchmarks (the memsim access hot path and
 # cache lookup, the pebs drain, lru aging, the ema record, the RNG's
 # bounded draw, the rl table's update and choice, the serve frame codec,
-# and the telemetry counter and histogram on nil receivers), five counts
-# each, and appends one line per result with the same host object:
+# the telemetry counter and histogram on nil receivers, the core access
+# batch with page tracing off, sampled and on for every page, and the
+# serve path with latency spans), five counts each, and appends one line
+# per result with the same host object:
 #
 #   {"bench":"BenchmarkCacheLookup","pkg":"artmem/internal/memsim","ns_per_op":6.2,"bytes_per_op":0,"allocs_per_op":0,"host":{...}}
 #
@@ -48,7 +50,7 @@ for w in replay replay-chain serve serve-tenants; do
 	done
 done
 
-micro='AccessHotPath|CacheLookup|SamplerDrain|Age|Record|Uint64n|ServeDecode|ServeEncode|Update|Choose|CounterIncNil|HistogramObserveNil'
+micro='AccessHotPath|CacheLookup|SamplerDrain|Age|Record|Uint64n|ServeDecode|ServeEncode|Update|Choose|CounterIncNil|HistogramObserveNil|AccessBatch|ServeSpans'
 echo "== go test -bench '$micro' -benchmem -count 5 ./internal/..." >&2
 results=$(go test -run '^$' -bench "$micro" -benchmem -count 5 ./internal/...)
 printf '%s\n' "$results" >&2
