@@ -62,9 +62,8 @@ func BenchmarkServeLockstep(b *testing.B) {
 
 // BenchmarkServeSpans measures the span-recording overhead on the
 // lockstep path at three settings: journal off (the default), the
-// default 1-in-64 sampling, and rate 1 (every batch). The off/sampled
-// delta is the number DESIGN.md §11 quotes; the benchdiff gate holds
-// the sampled case within 10% of its committed baseline.
+// default 1-in-64 sampling, and rate 1 (every batch). `make perf`
+// records it in the perf ledger, which DESIGN.md §11 cites.
 func BenchmarkServeSpans(b *testing.B) {
 	cases := []struct {
 		name string
